@@ -23,7 +23,7 @@ import numpy as np
 
 from . import core
 from .seeds import mix64
-from .vsa import VsaKind, vsa_bind, vsa_unbind
+from .vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 __all__ = [
     "CapacityCurve",
@@ -41,6 +41,7 @@ __all__ = [
 
 DEFAULT_THRESHOLD = 0.03
 DEFAULT_TRIALS = 10
+MIN_PAIRS = 8  # first point of the default sqrt(2) grid, round(sqrt(2) ** 6)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,18 +104,6 @@ def sqrt2_grid(n_max, j_min=6):
     return grid
 
 
-def _sample_rows(kind, d, count, seed):
-    # One generator per batch; rows are i.i.d. draws from the VSA's
-    # initialization distribution.
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if kind is VsaKind.MAP_C:
-        return rng.uniform(-1.0, 1.0, size=(count, d))
-    rows = rng.standard_normal((count, d)) / np.sqrt(d)
-    if kind is VsaKind.HRR_PROJECTED:
-        rows = core.project(rows, eps=0.0)
-    return rows
-
-
 def build_statement(kind, pairs):
     """Superpose the bindings of (value, key) pairs into one statement.
 
@@ -137,7 +126,9 @@ def build_statement(kind, pairs):
 def _statement(kind, xs, ys):
     if kind is VsaKind.MAP_C:
         return np.sign((xs * ys).sum(axis=0))
-    return vsa_bind(kind, xs, ys).sum(axis=0)
+    if kind is VsaKind.VTB:
+        return vsa_bind(kind, xs, ys).sum(axis=0)
+    return core.bind_sum(xs, ys)
 
 
 def retrieval_error_probability(cfg):
@@ -147,9 +138,9 @@ def retrieval_error_probability(cfg):
     errors = []
     for trial in range(cfg.trials):
         base = mix64(cfg.seed, trial)
-        xs = _sample_rows(kind, d, n, mix64(base, 0))
-        ys = _sample_rows(kind, d, n, mix64(base, 1))
-        zs = _sample_rows(kind, d, n, mix64(base, 2))
+        xs = vsa_sample(kind, d, mix64(base, 0), count=n)
+        ys = vsa_sample(kind, d, mix64(base, 1), count=n)
+        zs = vsa_sample(kind, d, mix64(base, 2), count=n)
         s = _statement(kind, xs, ys)
         xhat = vsa_unbind(kind, s, ys)
         xhat_n = xhat / (np.linalg.norm(xhat, axis=1, keepdims=True) + core.COSINE_EPS)
@@ -192,6 +183,10 @@ def capacity_sweep(
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     grid = sqrt2_grid(n_max)
+    if not grid:
+        raise ValueError(
+            f"n_max must be >= {MIN_PAIRS}, the first grid point; got {n_max}"
+        )
     estimates = []
     for n in grid:
         cfg = CapacityTrialConfig(
@@ -252,18 +247,20 @@ def query_response_distribution(
     kind = VsaKind(kind)
     if kind not in (VsaKind.HRR_NAIVE, VsaKind.HRR_PROJECTED):
         raise ValueError("response distribution is defined for the HRR variants")
+    counts = [("trial count", trials), ("query count", max_queries)]
+    for name, value in counts + [("pair count", n) for n in n_values]:
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     out = []
     for n in n_values:
-        if n < 1:
-            raise ValueError(f"pair count must be >= 1, got {n}")
         present, absent = [], []
         q = min(int(n), max_queries)
         for trial in range(trials):
             base = mix64(seed, n, trial)
-            xs = _sample_rows(kind, d, n, mix64(base, 0))
-            ys = _sample_rows(kind, d, n, mix64(base, 1))
+            xs = vsa_sample(kind, d, mix64(base, 0), count=n)
+            ys = vsa_sample(kind, d, mix64(base, 1), count=n)
             s = _statement(kind, xs, ys)
-            fresh = _sample_rows(kind, d, 2 * q, mix64(base, 2))
+            fresh = vsa_sample(kind, d, mix64(base, 2), count=2 * q)
             present.append(np.sum(xs[:q] * vsa_unbind(kind, s, ys[:q]), axis=1))
             absent.append(np.sum(fresh[:q] * vsa_unbind(kind, s, fresh[q:]), axis=1))
         present = np.concatenate(present)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import io
 import json
 import sys
@@ -22,7 +23,8 @@ from . import data as dataio
 from . import labels as labelcodec
 from . import metrics as metricsmod
 from . import trainer as trainermod
-from .capacity import capacity_sweep, query_response_distribution
+from .capacity import MIN_PAIRS, ResponseStats, capacity_sweep
+from .capacity import query_response_distribution
 from .vsa import VsaKind
 
 _EXIT_USAGE = 2
@@ -71,6 +73,14 @@ def _int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok]
 
 
+def _check_min(args, **minimums):
+    # Reject flag values below their minimum before any work starts.
+    for key, low in minimums.items():
+        value = getattr(args, key)
+        if value < low:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {low}, got {value}")
+
+
 def _vsa_list(values):
     kinds = []
     for value in values:
@@ -97,6 +107,7 @@ def _capacity_cell(job):
 
 
 def cmd_capacity(args):
+    _check_min(args, n_max=MIN_PAIRS, trials=1)
     kinds = _vsa_list(args.vsa)
     dims = [d for spec in args.dims for d in _int_list(spec)]
     if not kinds or not dims:
@@ -119,16 +130,9 @@ def cmd_capacity(args):
         payload = {
             "manifest": manifest,
             "trials": [
-                {
-                    "kind": kind,
-                    "d": d,
-                    "n": n,
-                    "trial": trial,
-                    "errors": errors,
-                    "p_error": p,
-                }
+                dict(zip(("kind", "d", "n", "trial", "errors", "p_error"), row))
                 for result in results
-                for kind, d, n, trial, errors, p in result[4]
+                for row in result[4]
             ],
             "capacities": [
                 {"kind": kind, "d": d, "capacity": cap, "saturated": sat}
@@ -152,6 +156,7 @@ def cmd_capacity(args):
 
 
 def cmd_response(args):
+    _check_min(args, n_min=1, trials=1, queries=1)
     n_values = []
     n = args.n_min
     while n <= args.n_max:
@@ -169,27 +174,15 @@ def cmd_response(args):
     if args.format == "json":
         payload = {
             "manifest": manifest,
-            "rows": [
-                {
-                    "n": s.n,
-                    "mean_present": s.mean_present,
-                    "std_present": s.std_present,
-                    "mean_absent": s.mean_absent,
-                    "std_absent": s.std_absent,
-                }
-                for s in stats
-            ],
+            "rows": [dataclasses.asdict(s) for s in stats],
         }
         _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
         return 0
     buf = io.StringIO()
     buf.write(_manifest_comments(manifest))
-    buf.write("n,mean_present,std_present,mean_absent,std_absent\n")
+    buf.write(",".join(f.name for f in dataclasses.fields(ResponseStats)) + "\n")
     for s in stats:
-        buf.write(
-            f"{s.n},{s.mean_present!r},{s.std_present!r},"
-            f"{s.mean_absent!r},{s.std_absent!r}\n"
-        )
+        buf.write(",".join(repr(v) for v in dataclasses.astuple(s)) + "\n")
     _write_out(buf.getvalue(), args.out)
     return 0
 
@@ -441,23 +434,15 @@ def build_parser():
     ev.add_argument("--out", default=None)
     ev.add_argument("--config", default=None)
     ev.set_defaults(func=cmd_eval)
+    parser.subcommands = sub.choices  # name -> subparser, for --config expansion
     return parser
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if argv and argv[0] in ("capacity", "response", "train", "eval"):
-        subparser = {
-            "capacity": "capacity",
-            "response": "response",
-            "train": "train",
-            "eval": "eval",
-        }[argv[0]]
-        for action in parser._subparsers._group_actions:
-            child = action.choices[subparser]
-            argv = [argv[0]] + _apply_config_file(child, argv[1:])
-            break
+    if argv and argv[0] in parser.subcommands:
+        argv = [argv[0]] + _apply_config_file(parser.subcommands[argv[0]], argv[1:])
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -1,14 +1,16 @@
 """Core algebra for holographic reduced representations.
 
 Symbols live in R^d as float64 vectors. Binding is circular convolution,
-computed through the FFT; unbinding convolves with an inverse. Two inverses
-are provided: the exact spectral reciprocal and the cheap index-permutation
-approximation, which coincide for unitary vectors (unit-magnitude spectrum).
+computed through real FFTs of length d (any d, odd or even); unbinding
+convolves with an inverse. Two inverses are provided: the exact spectral
+reciprocal and the cheap index-permutation approximation, which coincide
+for unitary vectors (unit-magnitude spectrum).
 The spectral projection produces such unitary vectors and is the stability
 fix everything else in this package leans on.
 
 All functions are pure and accept arrays with extra leading axes, operating
-on the last axis, so callers can batch rows through a single FFT.
+on the last axis, so callers can batch rows through a single FFT. This is
+the only module that calls np.fft.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "SpectralInverseError",
     "bind",
     "bind_adjoint",
+    "bind_sum",
     "cosine_similarity",
     "delta",
     "exact_inverse",
@@ -32,8 +35,6 @@ __all__ = [
 PROJECT_EPS = 1e-5  # guard added to spectral magnitudes in project()
 INVERSE_FLOOR = 1e-5  # minimum spectral magnitude accepted by exact_inverse()
 COSINE_EPS = 1e-8  # guard added to the norm product in cosine_similarity()
-
-_IMAG_TOL = 1e-8
 
 
 class SpectralInverseError(ValueError):
@@ -49,24 +50,26 @@ def _check_vector(x, name="vector"):
     return x
 
 
-def _check_same_dim(a, b):
+def _check_pair(a, b):
+    a, b = _check_vector(a, "a"), _check_vector(b, "b")
     if a.shape[-1] != b.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}"
-        )
+        raise ValueError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
+    return a, b
 
 
-def _discard_imag(z):
-    # The inverse transform of a conjugate-symmetric spectrum is real; any
-    # imaginary residue beyond rounding noise indicates a transform bug.
-    bound = _IMAG_TOL * (1.0 + np.abs(z.real))
-    if not np.all(np.abs(z.imag) < bound):
-        worst = int(np.argmax(np.abs(z.imag) - bound))
-        raise FloatingPointError(
-            f"imaginary residue {np.abs(z.imag).max():.3e} after inverse "
-            f"transform (flat index {worst}); expected a real result"
-        )
-    return np.ascontiguousarray(z.real)
+def _irfft(spec, d):
+    # The inverse of a half spectrum is real by construction; n=d restores
+    # odd lengths, which the half spectrum alone cannot tell apart.
+    return np.fft.irfft(spec, n=d, axis=-1)
+
+
+def _spectral_product(a, b):
+    a, b = _check_pair(a, b)
+    # Multiply into the larger spectrum when it already has the broadcast
+    # shape, so no third spectrum-sized array is allocated.
+    fa, fb = sorted((np.fft.rfft(a), np.fft.rfft(b)), key=np.size, reverse=True)
+    shape = np.broadcast_shapes(fa.shape, fb.shape)
+    return np.multiply(fa, fb, out=fa if fa.shape == shape else None)
 
 
 def delta(d):
@@ -77,35 +80,46 @@ def delta(d):
 
 
 def bind(a, b):
-    """Circular convolution of a and b via the FFT.
+    """Circular convolution of a and b via real FFTs.
 
     Equivalent to c_k = sum_i a_i * b_{(k-i) mod d}. Commutative,
     associative, and distributive over addition.
     """
-    a = _check_vector(a, "a")
-    b = _check_vector(b, "b")
-    _check_same_dim(a, b)
-    return _discard_imag(np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)))
+    return _irfft(_spectral_product(a, b), np.shape(a)[-1])
+
+
+def bind_sum(a, b):
+    """Superposition sum_i bind(a[i], b[i]) over the leading axis.
+
+    The spectral products are summed before one inverse transform,
+    irfft(sum_i F(a_i) F(b_i)), so the bound pairs are never formed. Equal
+    to bind(a, b).sum(axis=0) up to rounding; a and b broadcast as in bind.
+    """
+    if max(np.ndim(a), np.ndim(b)) < 2:
+        raise ValueError("bind_sum needs a leading axis to sum over")
+    return _irfft(_spectral_product(a, b).sum(axis=0), np.shape(a)[-1])
 
 
 def exact_inverse(a, floor=INVERSE_FLOOR):
     """Exact convolution inverse: reciprocal of each spectral coefficient.
 
-    Numerically unstable whenever the spectrum has small bins, so any bin
-    with magnitude <= `floor` raises SpectralInverseError naming the bin.
-    For unitary vectors this equals pseudo_inverse().
+    Works row by row on batches. Numerically unstable whenever a spectrum
+    has small bins, so any bin with magnitude <= `floor` raises
+    SpectralInverseError naming the bin (j, whose mirror d - j has the same
+    magnitude) and, for a batch, the row of the smallest such bin. For
+    unitary vectors this equals pseudo_inverse().
     """
     a = _check_vector(a, "a")
-    spec = np.fft.fft(a)
+    spec = np.fft.rfft(a)
     mags = np.abs(spec)
-    lo = mags.min()
-    if lo <= floor:
-        j = int(np.argmin(mags)) % a.shape[-1]
+    if mags.size and mags.min() <= floor:
+        *row, j = (int(i) for i in np.unravel_index(np.argmin(mags), mags.shape))
+        where = f" of row {row[0] if len(row) == 1 else tuple(row)}" if row else ""
         raise SpectralInverseError(
-            f"spectral bin {j} has magnitude {lo:.3e} <= {floor:g}; "
-            f"exact inverse is unstable"
+            f"spectral bin {j}{where} has magnitude {mags.min():.3e} <= "
+            f"{floor:g}; exact inverse is unstable"
         )
-    return _discard_imag(np.fft.ifft(1.0 / spec))
+    return _irfft(1.0 / spec, a.shape[-1])
 
 
 def pseudo_inverse(a):
@@ -142,27 +156,32 @@ def project(x, eps=PROJECT_EPS):
     when the input is known to have no vanishing bins.
     """
     x = _check_vector(x, "x")
-    spec = np.fft.fft(x)
-    return _discard_imag(np.fft.ifft(spec / (np.abs(spec) + eps)))
+    spec = np.fft.rfft(x)
+    spec /= np.abs(spec) + eps
+    return _irfft(spec, x.shape[-1])
 
 
-def sample_standard(d, seed):
-    """Gaussian symbol vector with i.i.d. N(0, 1/d) entries."""
+def sample_standard(d, seed, count=None):
+    """Gaussian symbol vector with i.i.d. N(0, 1/d) entries.
+
+    With `count`, a (count, d) batch of such rows from one generator; its
+    first row equals the single draw for the same seed.
+    """
     d = int(d)
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal(d) / np.sqrt(d)
+    return rng.standard_normal(d if count is None else (int(count), d)) / np.sqrt(d)
 
 
-def sample_unitary(d, seed):
+def sample_unitary(d, seed, count=None):
     """Projected Gaussian symbol vector with an exactly unit spectrum.
 
     Uses eps=0 in the projection: a continuous Gaussian draw has no zero
     spectral bins, and the exact normalization is what makes the pseudo
     inverse agree with the exact inverse to rounding error.
     """
-    return project(sample_standard(d, seed), eps=0.0)
+    return project(sample_standard(d, seed, count), eps=0.0)
 
 
 def cosine_similarity(a, b):
@@ -171,9 +190,7 @@ def cosine_similarity(a, b):
     Returns dot(a, b) / (|a| * |b| + 1e-8); a zero vector therefore maps
     to similarity 0 rather than NaN.
     """
-    a = _check_vector(a, "a")
-    b = _check_vector(b, "b")
-    _check_same_dim(a, b)
+    a, b = _check_pair(a, b)
     num = np.sum(a * b, axis=-1)
     den = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1) + COSINE_EPS
     return num / den

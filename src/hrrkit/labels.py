@@ -83,6 +83,7 @@ class LabelSpace:
         p_hat = self.p / np.linalg.norm(self.p)
         m = raw - (raw @ p_hat) * p_hat
         self.m = m * (np.linalg.norm(self.p) / np.linalg.norm(m))
+        self.roles = np.stack([self.p, self.m])
         self.all_classes = self._sum_all_classes()
 
     def class_seed(self, index):
@@ -145,9 +146,8 @@ def encode_labels(space, labels):
     else:
         bundle = np.zeros(space.dim)
     w = _absent_weight(space, present.size)
-    return core.bind(space.p, bundle) + w * core.bind(
-        space.m, space.all_classes - bundle
-    )
+    fillers = np.stack([bundle, w * (space.all_classes - bundle)])
+    return core.bind_sum(space.roles, fillers)
 
 
 def _cosines_and_grads(u, rows):
@@ -221,14 +221,13 @@ def loss_with_gradient(space, s_hat, labels, absolute=False, class_rows=None):
     present = _present_array(space, labels)
     if present.size == 0:
         return LossBreakdown(0.0, 0.0, degenerate=True), np.zeros(space.dim)
-    u_p = core.unbind(s_hat, space.p)
-    u_m = core.unbind(s_hat, space.m)
+    u_p, u_m = core.unbind(s_hat, space.roles)
     if class_rows is None:
         class_rows = space.class_vectors(present)
     j_p, j_n, g_up, g_um = query_loss_terms(u_p, u_m, class_rows, absolute)
     # u_p = s_hat (x) p*, so the adjoint maps the u_p gradient back through
     # a plain binding with p (and likewise for m).
-    grad = core.bind(g_up, space.p) + core.bind(g_um, space.m)
+    grad = core.bind_sum(space.roles, np.stack([g_up, g_um]))
     return LossBreakdown(j_p=j_p, j_n=j_n), grad
 
 

@@ -219,10 +219,8 @@ def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
             grad[row] = _bce_grad(out[row], y)
         count = max(len(losses), 1)
         return (sum(losses) / count if losses else 0.0), grad / count
-    u_p = core.unbind(out, space.p)
-    u_m = core.unbind(out, space.m)
-    g_up = np.zeros_like(out)
-    g_um = np.zeros_like(out)
+    u_p, u_m = core.unbind(out, space.roles[:, None])
+    g = np.zeros((2,) + out.shape)  # loss gradients in u_p and u_m
     for row, ex in enumerate(batch):
         if ex.labels.size == 0:
             continue
@@ -230,14 +228,12 @@ def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
             rows = class_matrix[ex.labels]
         else:
             rows = space.class_vectors(ex.labels)
-        j_p, j_n, gp, gm = labelcodec.query_loss_terms(
+        j_p, j_n, g[0, row], g[1, row] = labelcodec.query_loss_terms(
             u_p[row], u_m[row], rows, absolute=config.absolute_cosine
         )
         losses.append(j_p + j_n)
-        g_up[row] = gp
-        g_um[row] = gm
     count = max(len(losses), 1)
-    grad = (core.bind(g_up, space.p) + core.bind(g_um, space.m)) / count
+    grad = core.bind_sum(space.roles[:, None], g) / count
     return (sum(losses) / count if losses else 0.0), grad
 
 
@@ -390,25 +386,40 @@ def save_checkpoint(model, path, extra=None):
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
+def _read_exact(fh, count, path, section):
+    blob = fh.read(count)
+    if len(blob) != count:
+        raise ValueError(
+            f"truncated checkpoint {path}: {section} needs {count} bytes, "
+            f"found {len(blob)}"
+        )
+    return blob
+
+
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint; returns (model, header)."""
+    """Read a checkpoint written by save_checkpoint; returns (model, header).
+
+    A file cut short raises ValueError naming the path, the section that is
+    incomplete, and the expected and actual byte counts.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
+        header = json.loads(_read_exact(fh, hlen, path, "header").decode("utf-8"))
         if header.get("format_version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {header.get('format_version')}"
             )
         sizes = header["layer_sizes"]
         weights, biases = [], []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            w = np.frombuffer(fh.read(8 * fan_in * fan_out), dtype="<f8")
-            weights.append(w.reshape(fan_in, fan_out).astype(np.float64))
-            b = np.frombuffer(fh.read(8 * fan_out), dtype="<f8")
-            biases.append(b.astype(np.float64))
+        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            w = _read_exact(fh, 8 * fan_in * fan_out, path, f"layer {i} weights")
+            w = np.frombuffer(w, dtype="<f8").reshape(fan_in, fan_out)
+            weights.append(w.astype(np.float64))
+            b = _read_exact(fh, 8 * fan_out, path, f"layer {i} bias")
+            biases.append(np.frombuffer(b, dtype="<f8").astype(np.float64))
         trailing = fh.read(1)
         if trailing:
             raise ValueError("checkpoint has trailing bytes; shape mismatch?")

@@ -48,17 +48,20 @@ def _check_dim(kind, d):
         _vtb_side(d)
 
 
-def vsa_sample(kind, d, seed):
-    """Draw one symbol vector the way the given VSA initializes its symbols."""
+def vsa_sample(kind, d, seed, count=None):
+    """Draw one symbol vector the way the given VSA initializes its symbols.
+
+    With `count`, a (count, d) batch of i.i.d. rows from one generator.
+    """
     kind = VsaKind(kind)
     d = int(d)
     _check_dim(kind, d)
     if kind is VsaKind.HRR_PROJECTED:
-        return core.sample_unitary(d, seed)
+        return core.sample_unitary(d, seed, count)
     if kind is VsaKind.MAP_C:
         rng = np.random.Generator(np.random.PCG64(seed))
-        return rng.uniform(-1.0, 1.0, size=d)
-    return core.sample_standard(d, seed)
+        return rng.uniform(-1.0, 1.0, size=d if count is None else (int(count), d))
+    return core.sample_standard(d, seed, count)
 
 
 def _vtb_apply(x, y, transpose):
@@ -73,15 +76,17 @@ def _vtb_apply(x, y, transpose):
     return out.reshape(out.shape[:-2] + (d,))
 
 
+def _as_pair(x, y):
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.shape[-1] != y.shape[-1]:
+        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
+    return x, y
+
+
 def vsa_bind(kind, x, y):
     """Bind value x with key y under the given VSA."""
     kind = VsaKind(kind)
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}"
-        )
+    x, y = _as_pair(x, y)
     if kind in (VsaKind.HRR_NAIVE, VsaKind.HRR_PROJECTED):
         return core.bind(x, y)
     if kind is VsaKind.MAP_C:
@@ -92,34 +97,17 @@ def vsa_bind(kind, x, y):
 def vsa_unbind(kind, s, y):
     """Recover the value bound with key y from s (approximately, in general)."""
     kind = VsaKind(kind)
-    s = np.asarray(s, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if s.shape[-1] != y.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {s.shape[-1]} vs {y.shape[-1]}"
-        )
+    s, y = _as_pair(s, y)
     if kind is VsaKind.HRR_PROJECTED:
         return core.unbind(s, y)
     if kind is VsaKind.HRR_NAIVE:
         # The naive variant inverts the key spectrum exactly. This is the
         # numerically unstable path whose noise the projected variant
         # removes, and it is what gives naive HRR its poor capacity.
-        return core.bind(s, _exact_inverse_last(y))
+        return core.bind(s, core.exact_inverse(y))
     if kind is VsaKind.MAP_C:
         # Uniform [-1, 1] keys are approximately self-inverse under the
         # elementwise product; exact when entries are +-1.
         return s * y
     return _vtb_apply(s, y, transpose=True)
 
-
-def _exact_inverse_last(y):
-    if y.ndim == 1:
-        return core.exact_inverse(y)
-    spec = np.fft.fft(y, axis=-1)
-    mags = np.abs(spec)
-    if mags.min() <= core.INVERSE_FLOOR:
-        raise core.SpectralInverseError(
-            f"spectral magnitude {mags.min():.3e} <= {core.INVERSE_FLOOR:g} "
-            f"in key batch"
-        )
-    return np.fft.ifft(1.0 / spec, axis=-1).real

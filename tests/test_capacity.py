@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hrrkit import core
+from hrrkit import capacity, core
 from hrrkit.capacity import (
     CapacityTrialConfig,
     build_statement,
@@ -14,7 +14,7 @@ from hrrkit.capacity import (
     retrieval_error_probability,
     sqrt2_grid,
 )
-from hrrkit.vsa import VsaKind, vsa_bind, vsa_unbind
+from hrrkit.vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 
 class TestGrid:
@@ -55,6 +55,19 @@ class TestBuildStatement:
         np.testing.assert_allclose(
             build_statement(VsaKind.HRR_NAIVE, pairs), expected, atol=1e-12
         )
+
+    @pytest.mark.parametrize("kind", list(VsaKind))
+    @pytest.mark.parametrize("d", [121, 256])
+    def test_many_pairs_equal_sum_of_bindings(self, kind, d):
+        # HRR statements are summed in the spectral domain; the reference
+        # binds every pair and sums the rows.
+        xs = vsa_sample(kind, d, 3, count=40)
+        ys = vsa_sample(kind, d, 4, count=40)
+        want = vsa_bind(kind, xs, ys).sum(axis=0)
+        if kind is VsaKind.MAP_C:
+            want = np.sign(want)
+        got = build_statement(kind, list(zip(xs, ys)))
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_empty_pairs_raise(self):
         with pytest.raises(ValueError):
@@ -124,6 +137,10 @@ class TestCapacity:
         curve = capacity_curve(VsaKind.HRR_PROJECTED, [64, 25], trials=4, seed=0)
         assert [d for d, _ in curve.points] == [25, 64]
 
+    def test_n_max_below_first_grid_point_raises(self):
+        with pytest.raises(ValueError, match="n_max must be >= 8"):
+            capacity_sweep(VsaKind.HRR_NAIVE, 64, n_max=7)
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             capacity_sweep(VsaKind.HRR_NAIVE, 64, threshold=0.0)
@@ -157,3 +174,20 @@ class TestResponses:
     def test_rejects_non_hrr_kinds(self):
         with pytest.raises(ValueError):
             query_response_distribution(64, [4], kind=VsaKind.MAP_C)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_values": [4, 0]}, "pair count must be >= 1, got 0"),
+            ({"trials": 0}, "trial count must be >= 1, got 0"),
+            ({"max_queries": 0}, "query count must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_counts_before_any_work(self, kwargs, message, monkeypatch):
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampled before validating")
+
+        monkeypatch.setattr(capacity, "vsa_sample", no_sampling)
+        args = {"d": 64, "n_values": [4, 8], **kwargs}
+        with pytest.raises(ValueError, match=message):
+            query_response_distribution(**args)

@@ -1,6 +1,8 @@
 """End-to-end tests for the command-line runner."""
 
+import contextlib
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -126,6 +128,59 @@ class TestResponseCommand:
         run_cli(flags + ["--out", str(a)])
         run_cli(flags + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: the unguarded doubling loop never ends."""
+
+    def expire(signum, frame):
+        pytest.fail(f"command still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestBadInput:
+    """Out-of-range flags exit 2 with a message naming the flag."""
+
+    @pytest.mark.parametrize("n_min", ["0", "-3"])
+    def test_response_non_positive_n_min(self, n_min, capsys):
+        with time_limit(0.5):
+            code = run_cli(["response", "--dim", "16", "--n-max", "64", "--n-min", n_min])
+        assert code == 2
+        assert f"--n-min must be >= 1, got {n_min}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--queries", "--trials"])
+    def test_response_zero_counts(self, flag, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = run_cli(["response", "--dim", "16", "--n-max", "8", flag, "0", "--out", str(out)])
+        assert code == 2
+        assert f"{flag} must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_max", ["7", "0"])
+    def test_capacity_n_max_below_first_grid_point(self, n_max, capsys):
+        code = run_cli(["capacity", "--vsa", "hrr", "--dims", "16", "--n-max", n_max])
+        assert code == 2
+        assert f"--n-max must be >= 8, got {n_max}" in capsys.readouterr().err
+
+    def test_capacity_zero_trials(self, capsys):
+        assert run_cli(["capacity", "--vsa", "hrr", "--dims", "16", "--trials", "0"]) == 2
+        assert "--trials must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_2(self, tmp_path, capsys):
+        test_path, _ = write_synth(tmp_path, "test.txt", 20, seed=2)
+        ckpt = tmp_path / "model.ckpt"
+        tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:10])
+        assert run_cli(["eval", "--data", str(test_path), "--checkpoint", str(ckpt)]) == 2
+        assert "header length needs 4 bytes, found 2" in capsys.readouterr().err
 
 
 class TestTrainEvalCommands:

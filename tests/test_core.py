@@ -236,3 +236,82 @@ class TestBindAdjoint:
             lo = core.bind(a - e, b)
             fd[j] = (hi @ hi - lo @ lo) / (2 * h)
         assert np.linalg.norm(analytic - fd) / np.linalg.norm(fd) < 1e-5
+
+
+def fft_reference(spec_fn, *vectors):
+    """Complex-FFT reference: ifft(spec_fn(fft(v), ...)) with its real part kept."""
+    spectra = [np.fft.fft(v, axis=-1) for v in vectors]
+    return np.fft.ifft(spec_fn(*spectra), axis=-1).real
+
+
+class TestRealFftAgainstReferences:
+    """The real-FFT core against the O(d^2) sum and a complex-FFT reference."""
+
+    @pytest.mark.parametrize("d", [3, 121, 128])
+    def test_bind_matches_direct_sum_and_complex_fft(self, d):
+        a = np.stack([_gauss(d, 200 + r) for r in range(3)])
+        b = np.stack([_gauss(d, 300 + r) for r in range(3)])
+        got = core.bind(a, b)
+        direct = np.stack([conv_direct(x, y) for x, y in zip(a, b)])
+        np.testing.assert_allclose(got, direct, atol=1e-12)
+        np.testing.assert_allclose(got, fft_reference(np.multiply, a, b), atol=1e-14)
+        # one key broadcast against a batch of values
+        np.testing.assert_allclose(
+            core.bind(a, b[0]), fft_reference(np.multiply, a, b[0]), atol=1e-14
+        )
+
+    @pytest.mark.parametrize("d", [3, 121, 128])
+    @pytest.mark.parametrize("eps", [core.PROJECT_EPS, 0.0])
+    def test_project_matches_complex_fft(self, d, eps):
+        x = np.stack([_gauss(d, 400 + r) for r in range(3)])
+        want = fft_reference(lambda f: f / (np.abs(f) + eps), x)
+        np.testing.assert_allclose(core.project(x, eps=eps), want, atol=1e-14)
+
+    @pytest.mark.parametrize("d", [3, 121, 128])
+    def test_exact_inverse_matches_complex_fft_and_cancels(self, d):
+        a = _gauss(d, 500)
+        inv = core.exact_inverse(a)
+        np.testing.assert_allclose(inv, fft_reference(lambda f: 1.0 / f, a), atol=1e-10)
+        np.testing.assert_allclose(core.bind(a, inv), core.delta(d), atol=1e-10)
+        np.testing.assert_allclose(conv_direct(a, inv), core.delta(d), atol=1e-10)
+
+    @pytest.mark.parametrize("d", [3, 121, 128])
+    def test_batched_exact_inverse_matches_row_loop(self, d):
+        rows = np.stack([_gauss(d, 600 + r) for r in range(5)])
+        batched = core.exact_inverse(rows)
+        for row, got in zip(rows, batched):
+            np.testing.assert_allclose(got, core.exact_inverse(row), atol=1e-12)
+        three_d = core.exact_inverse(rows.reshape(5, 1, d))
+        np.testing.assert_allclose(three_d.reshape(5, d), batched, atol=1e-12)
+
+    def test_batched_exact_inverse_names_row_and_bin(self):
+        d = 8
+        rows = np.stack([_gauss(d, 700 + r) for r in range(4)])
+        spec = np.fft.rfft(rows[2])
+        spec[3] = 0.0  # bin 3 (and its mirror 5) of row 2 vanishes
+        rows[2] = np.fft.irfft(spec, n=d)
+        with pytest.raises(core.SpectralInverseError, match=r"spectral bin 3 of row 2 "):
+            core.exact_inverse(rows)
+        with pytest.raises(core.SpectralInverseError, match=r"spectral bin 3 of row \(1, 0\)"):
+            core.exact_inverse(rows.reshape(2, 2, d))
+        with pytest.raises(core.SpectralInverseError, match=r"spectral bin 3 has"):
+            core.exact_inverse(rows[2])
+
+    @pytest.mark.parametrize("d", [3, 121, 128])
+    def test_bind_sum_matches_sum_of_pair_binds(self, d):
+        xs = np.stack([_gauss(d, 800 + r) for r in range(50)])
+        ys = np.stack([core.sample_unitary(d, 900 + r) for r in range(50)])
+        want = sum(core.bind(x, y) for x, y in zip(xs, ys))
+        np.testing.assert_allclose(core.bind_sum(xs, ys), want, atol=1e-12)
+
+    def test_bind_sum_broadcasts_like_bind(self):
+        d = 16
+        roles = np.stack([_gauss(d, 1000), _gauss(d, 1001)])
+        g = np.stack([np.stack([_gauss(d, 1010 + 4 * k + r) for r in range(4)]) for k in range(2)])
+        want = core.bind(roles[0], g[0]) + core.bind(roles[1], g[1])
+        np.testing.assert_allclose(core.bind_sum(roles[:, None], g), want, atol=1e-12)
+        np.testing.assert_allclose(core.bind_sum(g, roles[:, None]), want, atol=1e-12)
+
+    def test_bind_sum_needs_a_leading_axis(self):
+        with pytest.raises(ValueError, match="leading axis"):
+            core.bind_sum(_gauss(8, 1), _gauss(8, 2))

@@ -259,3 +259,33 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMODEL" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             tr.load_checkpoint(path)
+
+    def test_truncated_checkpoint_names_section_and_sizes(self, tmp_path):
+        model = tr.init_model(12, (6,), 4, "fc", seed=2)
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(model, path)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[8:12], "little")
+        w0 = 12 + hlen  # layer 0 weights: 12 x 6 float64
+        b0 = w0 + 8 * 12 * 6  # layer 0 bias: 6 float64
+        w1 = b0 + 8 * 6  # layer 1 weights: 6 x 4 float64
+        b1 = w1 + 8 * 6 * 4
+        cases = [
+            (10, "header length", 4, 2),
+            (12 + hlen // 2, "header", hlen, hlen // 2),
+            (w0 + 5, "layer 0 weights", 8 * 12 * 6, 5),
+            (b0 + 8, "layer 0 bias", 8 * 6, 8),
+            (w1, "layer 1 weights", 8 * 6 * 4, 0),
+            (b1 + 31, "layer 1 bias", 8 * 4, 31),
+            (b1 + 24, "layer 1 bias", 8 * 4, 24),  # whole float64s: no reshape error
+        ]
+        assert b1 + 8 * 4 == len(blob)
+        for cut, section, want, got in cases:
+            short = tmp_path / f"cut{cut}.ckpt"
+            short.write_bytes(blob[:cut])
+            message = (
+                f"truncated checkpoint {short}: {section} needs {want} bytes, found {got}"
+            )
+            with pytest.raises(ValueError) as info:
+                tr.load_checkpoint(short)
+            assert str(info.value) == message

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hrrkit import core
+from hrrkit.seeds import mix64
 from hrrkit.vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 ALL_KINDS = list(VsaKind)
@@ -127,3 +128,63 @@ class TestUnbind:
         lhs = vsa_unbind(VsaKind.MAP_C, s, probe)
         rhs = sum(vsa_unbind(VsaKind.MAP_C, vsa_bind(VsaKind.MAP_C, x, y), probe) for x, y in pairs)
         np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+# Draws of the capacity harness's batch sampler before it was folded into
+# vsa_sample(..., count=...): (2, 9) rows for seed mix64(2021, 9), as float.hex.
+# hrr and vtb share the Gaussian stream. The hrr-proj row was projected with
+# complex FFTs, so the real-FFT projection reproduces it to rounding only.
+_BATCH_SEED = 12492904582127482761
+_RECORDED_BATCHES = {
+    "hrr": [
+        "-0x1.e3687834545ddp-2", "0x1.318f26b00d0e5p-2", "0x1.54beb875601c3p-2",
+        "0x1.7580ffc2b39f0p-3", "0x1.fd177f50f8ad0p-2", "-0x1.02822e433484bp-3",
+        "0x1.3da467212da73p-2", "-0x1.55726e49f7d87p-5", "0x1.cbbb275223420p-4",
+        "-0x1.b0fbc6c869163p-2", "0x1.dcb4180355415p-2", "-0x1.21402adb0c659p-2",
+        "-0x1.80fb5748c3bd8p-4", "-0x1.b136633a0bfc7p-2", "0x1.995494db85a1bp-1",
+        "-0x1.66febefaab377p-2", "-0x1.6e38f710c1e35p-1", "0x1.cb806bc47ad3cp-2",
+    ],
+    "hrr-proj": [
+        "-0x1.38202ed6c29c3p-1", "0x1.50b041fcc54bbp-2", "0x1.9b34d799b47e2p-2",
+        "0x1.6adc4218c5774p-3", "0x1.f003522ae7e8ap-2", "-0x1.3e1fd58702da1p-3",
+        "0x1.d1ce75b485c05p-3", "0x1.09fcb137cf70ep-3", "0x1.014282d179eb2p-6",
+        "-0x1.0bf69093c8123p-2", "0x1.2264e3ccbb039p-2", "-0x1.2310aab55f593p-5",
+        "-0x1.135be931c8607p-5", "-0x1.7d9c1e7bf97f7p-3", "0x1.764c3e872c6f7p-2",
+        "-0x1.b3d0fad4ecaa0p-2", "-0x1.69c3a0913bf49p-1", "0x1.ca5f91374c38ep-13",
+    ],
+    "map-c": [
+        "-0x1.af567f6457ba8p-1", "-0x1.9f2570072027cp-1", "0x1.f8bd9969677e2p-1",
+        "0x1.71cb4e7b39cf0p-4", "-0x1.6cc6d3fec7960p-5", "-0x1.61e8519b41cd2p-1",
+        "0x1.e62aa09a94b48p-2", "0x1.3ed648781f0c4p-2", "-0x1.ddc7dbe059f48p-1",
+        "0x1.98e3526afe3f0p-2", "-0x1.fb1de8e1c5700p-8", "0x1.be44db35f64acp-2",
+        "-0x1.2d81e2fae8ce6p-1", "0x1.61db674ee0e84p-2", "0x1.eb730ad846a30p-1",
+        "-0x1.97619eee5f174p-1", "-0x1.0654a8534ec40p-2", "-0x1.3b845dd4ff124p-2",
+    ],
+}
+_RECORDED_BATCHES["vtb"] = _RECORDED_BATCHES["hrr"]
+
+
+def _recorded(kind):
+    return np.array([float.fromhex(h) for h in _RECORDED_BATCHES[kind]]).reshape(2, 9)
+
+
+class TestBatchedSampling:
+    def test_seed_matches_recorded_derivation(self):
+        assert mix64(2021, 9) == _BATCH_SEED
+
+    @pytest.mark.parametrize("kind", ["hrr", "map-c", "vtb"])
+    def test_batch_is_bitwise_the_recorded_stream(self, kind):
+        rows = vsa_sample(kind, 9, _BATCH_SEED, count=2)
+        assert rows.shape == (2, 9)
+        np.testing.assert_array_equal(rows, _recorded(kind))
+
+    def test_projected_batch_is_the_projected_gaussian_stream(self):
+        rows = vsa_sample("hrr-proj", 9, _BATCH_SEED, count=2)
+        np.testing.assert_array_equal(rows, core.project(_recorded("hrr"), eps=0.0))
+        np.testing.assert_allclose(rows, _recorded("hrr-proj"), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_first_row_equals_single_draw(self, kind):
+        rows = vsa_sample(kind, 16, 31, count=3)
+        np.testing.assert_array_equal(rows[0], vsa_sample(kind, 16, 31))
+        assert vsa_sample(kind, 16, 31, count=0).shape == (0, 16)
