@@ -157,6 +157,7 @@ def cmd_capacity(args):
 
 def cmd_response(args):
     _check_min(args, n_min=1, trials=1, queries=1)
+    _check_min(args, n_max=args.n_min)
     n_values = []
     n = args.n_min
     while n <= args.n_max:
@@ -230,18 +231,7 @@ def cmd_train(args):
     with open(stats_path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"manifest": _manifest("train", args)}, sort_keys=True) + "\n")
         for s in stats:
-            fh.write(
-                json.dumps(
-                    {
-                        "epoch": s.epoch,
-                        "mean_loss": s.mean_loss,
-                        "seconds": s.seconds,
-                        "val_p1": s.val_p1,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(dataclasses.asdict(s), sort_keys=True) + "\n")
     return 0
 
 

@@ -7,12 +7,17 @@ File dialect: a header line "N D L", then one line per example of the form
 with 0-based decimal indices. The label field may be empty (line starts
 with a space); such examples are kept for evaluation but carry no loss.
 The serializer emits the same dialect byte-for-byte reproducibly.
+
+Parsing reads the file in blocks of lines and converts and checks each
+block with numpy. A block that fails any check is read again line by line,
+so an error names the same first bad line with the same message.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import io
+import itertools
 
 import numpy as np
 
@@ -83,11 +88,107 @@ def _parse_float(token, line_no):
     return value
 
 
+_BLOCK_LINES = 512
+
+
+def _parse_line(line, line_no, d, l, shift):
+    """One example line, checked token by token in line order."""
+    label_field, _, rest = line.rstrip("\n").partition(" ")
+    labels = []
+    if label_field:
+        for tok in label_field.split(","):
+            idx = _parse_int(tok, line_no, "label index") - shift
+            if not 0 <= idx < l:
+                raise DatasetFormatError(
+                    f"line {line_no}: label index {idx} outside [0, {l})"
+                )
+            labels.append(idx)
+    idxs, vals = [], []
+    for tok in rest.split():
+        feat, colon, val = tok.partition(":")
+        if not colon:
+            raise DatasetFormatError(
+                f"line {line_no}: feature token {tok!r} missing ':'"
+            )
+        idx = _parse_int(feat, line_no, "feature index") - shift
+        if not 0 <= idx < d:
+            raise DatasetFormatError(
+                f"line {line_no}: feature index {idx} outside [0, {d})"
+            )
+        idxs.append(idx)
+        vals.append(_parse_float(val, line_no))
+    order = np.argsort(idxs, kind="stable")
+    idxs = np.asarray(idxs, dtype=np.int64)[order]
+    vals = np.asarray(vals, dtype=np.float64)[order]
+    if idxs.size and np.any(np.diff(idxs) == 0):
+        raise DatasetFormatError(f"line {line_no}: duplicate feature index")
+    return SparseExample(
+        feat_idx=idxs,
+        feat_val=vals,
+        labels=np.unique(np.asarray(labels, dtype=np.int64)),
+    )
+
+
+def _ascending_within(values, counts):
+    # True when values rise strictly inside each consecutive run of counts.
+    rises = np.diff(values) > 0
+    starts = np.cumsum(counts)[:-1]
+    rises[starts[(starts > 0) & (starts < values.size)] - 1] = True
+    return bool(rises.all())
+
+
+def _parse_block(lines, d, l, shift):
+    """Examples of a block of lines, or None if any check fails.
+
+    Accepts only what _parse_line accepts, with labels and features already
+    in strictly ascending order, and returns the same arrays for it.
+    """
+    label_fields, tokens, n_labels, n_feats = [], [], [], []
+    for line in lines:
+        label_field, _, rest = line.rstrip("\n").partition(" ")
+        feats = rest.split()
+        tokens += feats
+        n_feats.append(len(feats))
+        n_labels.append(label_field.count(",") + 1 if label_field else 0)
+        if label_field:
+            label_fields.append(label_field)
+    colons = np.fromiter(
+        map(str.count, tokens, itertools.repeat(":")), np.int64, len(tokens)
+    )
+    if not np.all(colons == 1):
+        return None
+    label_toks = ",".join(label_fields).split(",") if label_fields else []
+    pieces = ":".join(tokens).split(":") if tokens else []
+    try:
+        labels = np.fromiter(map(int, label_toks), np.int64, len(label_toks)) - shift
+        idx = np.fromiter(map(int, pieces[0::2]), np.int64, len(tokens)) - shift
+        val = np.fromiter(map(float, pieces[1::2]), np.float64, len(tokens))
+    except (ValueError, OverflowError):
+        return None
+    if not (
+        np.all((labels >= 0) & (labels < l))
+        and np.all((idx >= 0) & (idx < d))
+        and np.all(np.isfinite(val))
+        and _ascending_within(labels, n_labels)
+        and _ascending_within(idx, n_feats)
+    ):
+        return None
+    lab_end = np.cumsum(n_labels).tolist()
+    feat_end = np.cumsum(n_feats).tolist()
+    return [
+        SparseExample(
+            feat_idx=idx[f0:f1], feat_val=val[f0:f1], labels=labels[l0:l1]
+        )
+        for f0, f1, l0, l1 in zip([0] + feat_end, feat_end, [0] + lab_end, lab_end)
+    ]
+
+
 def parse_xml_repo(source, one_based=False):
     """Parse the sparse repository format from a path, text, or stream.
 
     With one_based=True, label and feature indices in the file are 1-based
-    and are shifted down during parsing.
+    and are shifted down during parsing. The source is read in blocks of
+    lines and never held whole.
     """
     if isinstance(source, str) and "\n" not in source:
         with open(source, "r", encoding="utf-8") as fh:
@@ -107,46 +208,23 @@ def parse_xml_repo(source, one_based=False):
         raise DatasetFormatError(f"line 1: non-positive header sizes {n} {d} {l}")
 
     examples = []
-    for line_no, line in enumerate(source, start=2):
-        line = line.rstrip("\n")
-        if not line.strip() and len(examples) == n:
-            continue  # tolerate a trailing blank line
-        label_field, _, rest = line.partition(" ")
-        labels = []
-        if label_field:
-            for tok in label_field.split(","):
-                idx = _parse_int(tok, line_no, "label index") - shift
-                if not 0 <= idx < l:
-                    raise DatasetFormatError(
-                        f"line {line_no}: label index {idx} outside [0, {l})"
-                    )
-                labels.append(idx)
-        idxs, vals = [], []
-        for tok in rest.split():
-            feat, colon, val = tok.partition(":")
-            if not colon:
-                raise DatasetFormatError(
-                    f"line {line_no}: feature token {tok!r} missing ':'"
-                )
-            idx = _parse_int(feat, line_no, "feature index") - shift
-            if not 0 <= idx < d:
-                raise DatasetFormatError(
-                    f"line {line_no}: feature index {idx} outside [0, {d})"
-                )
-            idxs.append(idx)
-            vals.append(_parse_float(val, line_no))
-        order = np.argsort(idxs, kind="stable")
-        idxs = np.asarray(idxs, dtype=np.int64)[order]
-        vals = np.asarray(vals, dtype=np.float64)[order]
-        if idxs.size and np.any(np.diff(idxs) == 0):
-            raise DatasetFormatError(f"line {line_no}: duplicate feature index")
-        examples.append(
-            SparseExample(
-                feat_idx=idxs,
-                feat_val=vals,
-                labels=np.unique(np.asarray(labels, dtype=np.int64)),
-            )
-        )
+    line_no = 2
+    while block := list(itertools.islice(source, _BLOCK_LINES)):
+        # Lines past the declared count go one by one: a trailing blank
+        # line is tolerated there, and any other line is an error below.
+        fit = max(0, min(len(block), n - len(examples)))
+        parsed = _parse_block(block[:fit], d, l, shift) if fit else []
+        if parsed is None:
+            parsed = [
+                _parse_line(line, line_no + i, d, l, shift)
+                for i, line in enumerate(block[:fit])
+            ]
+        examples += parsed
+        for i, line in enumerate(block[fit:], start=line_no + fit):
+            if not line.strip() and len(examples) == n:
+                continue
+            examples.append(_parse_line(line, i, d, l, shift))
+        line_no += len(block)
     if len(examples) != n:
         raise DatasetFormatError(
             f"header declared {n} examples, file has {len(examples)}"

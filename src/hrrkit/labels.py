@@ -150,41 +150,40 @@ def encode_labels(space, labels):
     return core.bind_sum(space.roles, fillers)
 
 
-def _cosines_and_grads(u, rows):
-    # cos_eps(u, v) = <u, v> / (|u||v| + eps) per row, plus gradients in u.
-    nu = np.linalg.norm(u)
+def _cosine_sums(u, rows, owner, seg, absolute):
+    # For every row j, c_j = cos_eps(u[owner_j], rows_j) = <u, v> / (|u||v| + eps)
+    # (or |c_j| when absolute). Returns the per-example sums of the c_j and
+    # of their gradients in u, taken as products with the 0/1 matrix seg.
+    nu = np.linalg.norm(u, axis=1)
     nv = np.linalg.norm(rows, axis=1)
-    den = nu * nv + core.COSINE_EPS
-    cs = (rows @ u) / den
-    grads = (rows - np.outer(cs * nv / max(nu, 1e-300), u)) / den[:, None]
-    return cs, grads
+    den = nu[owner] * nv + core.COSINE_EPS
+    cs = np.einsum("jd,jd->j", u[owner], rows) / den
+    # d c_j / d u = s_j (rows_j - c_j |v_j| / |u| u) / den_j, s_j the sign
+    w = (np.sign(cs) if absolute else 1.0) / den
+    radial = (seg @ (w * cs * nv)) / np.maximum(nu, 1e-300)
+    grads = seg @ (w[:, None] * rows) - radial[:, None] * u
+    return seg @ (np.abs(cs) if absolute else cs), grads
 
 
-def query_loss_terms(u_p, u_m, class_rows, absolute=False):
-    """Loss terms and gradients in the two unbound query vectors.
+def query_loss_terms(u_p, u_m, class_rows, owner, absolute=False):
+    """Per-example loss terms and their gradients in the unbound queries.
 
-    Takes the role-p and role-m unbindings of a prediction plus the present
-    class vectors (one per row) and returns (j_p, j_n, g_up, g_um). This is
-    the transform-free core shared by the reference per-example loss and
-    the trainer's batched path.
+    u_p and u_m are the (B, d) role-p and role-m unbindings of B
+    predictions. class_rows holds the present class vectors of all B
+    examples, one per row, and owner[j] is the example row j belongs to.
+    Returns (j_p, j_n, g_up, g_um): two length-B loss vectors and their
+    (B, d) gradients in u_p and u_m. An example that owns no row has zero
+    loss and gradient. This is the one query-loss path: the per-example
+    loss is a batch of one, and the trainer passes whole batches.
     """
-    cs, grads = _cosines_and_grads(u_p, class_rows)
-    if absolute:
-        j_p = float(np.sum(1.0 - np.abs(cs)))
-        g_up = -(np.sign(cs)[:, None] * grads).sum(axis=0)
-    else:
-        j_p = float(np.sum(1.0 - cs))
-        g_up = -grads.sum(axis=0)
-    bundle = class_rows.sum(axis=0)
-    cs_n, grads_n = _cosines_and_grads(u_m, bundle[None, :])
-    c_n = float(cs_n[0])
-    if absolute:
-        j_n = abs(c_n)
-        g_um = np.sign(c_n) * grads_n[0]
-    else:
-        j_n = c_n
-        g_um = grads_n[0]
-    return j_p, j_n, g_up, g_um
+    owner = np.asarray(owner, dtype=np.int64)
+    n = u_p.shape[0]
+    seg = np.zeros((n, owner.size))
+    seg[owner, np.arange(owner.size)] = 1.0
+    c_p, g_p = _cosine_sums(u_p, class_rows, owner, seg, absolute)
+    # The absent term pairs each example with the sum of its class rows.
+    j_n, g_um = _cosine_sums(u_m, seg @ class_rows, np.arange(n), np.eye(n), absolute)
+    return seg.sum(axis=1) - c_p, j_n, -g_p, g_um
 
 
 def loss(space, s_hat, labels, absolute=False):
@@ -224,11 +223,14 @@ def loss_with_gradient(space, s_hat, labels, absolute=False, class_rows=None):
     u_p, u_m = core.unbind(s_hat, space.roles)
     if class_rows is None:
         class_rows = space.class_vectors(present)
-    j_p, j_n, g_up, g_um = query_loss_terms(u_p, u_m, class_rows, absolute)
+    owner = np.zeros(len(class_rows), dtype=np.int64)
+    j_p, j_n, g_up, g_um = query_loss_terms(
+        u_p[None], u_m[None], class_rows, owner, absolute
+    )
     # u_p = s_hat (x) p*, so the adjoint maps the u_p gradient back through
     # a plain binding with p (and likewise for m).
-    grad = core.bind_sum(space.roles, np.stack([g_up, g_um]))
-    return LossBreakdown(j_p=j_p, j_n=j_n), grad
+    grad = core.bind_sum(space.roles, np.stack([g_up[0], g_um[0]]))
+    return LossBreakdown(j_p=float(j_p[0]), j_n=float(j_n[0])), grad
 
 
 def class_scores(space, s_hat):

@@ -13,8 +13,10 @@ for a fixed seed in single-threaded use.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
+import os
 import struct
 import time
 
@@ -85,10 +87,27 @@ class TrainConfig:
 
 @dataclasses.dataclass(frozen=True)
 class EpochStats:
+    """One epoch's loss and where its time went.
+
+    The phase seconds split the training batches into the forward pass,
+    the loss, the backward pass and the optimizer step; eval_s is the
+    validation pass. examples_per_s counts training examples over the
+    training batches' wall time. For the hrr head, j_p and j_n split
+    mean_loss into its present-role and absent-role terms (None for fc).
+    """
+
     epoch: int
     mean_loss: float
     seconds: float
     val_p1: float | None = None
+    forward_s: float = 0.0
+    loss_s: float = 0.0
+    backward_s: float = 0.0
+    optimizer_s: float = 0.0
+    eval_s: float = 0.0
+    examples_per_s: float = 0.0
+    j_p: float | None = None
+    j_n: float | None = None
 
 
 def init_model(n_features, hidden, out_dim, head, seed):
@@ -155,10 +174,31 @@ class _Example:
     feat_val: np.ndarray
 
 
+# Gradient of the first-layer weights at the sorted unique feature rows a
+# batch touches; every other row's gradient is zero.
+_RowGrad = collections.namedtuple("_RowGrad", "rows values")
+
+
+def _batch_values(batch):
+    """Sorted unique feature rows of a batch and its (B x U) value matrix."""
+    sizes = [ex.feat_idx.size for ex in batch]
+    rows, cols = np.unique(
+        np.concatenate([ex.feat_idx for ex in batch]), return_inverse=True
+    )
+    x = np.zeros((len(batch), rows.size))
+    owner = np.repeat(np.arange(len(batch)), sizes)
+    np.add.at(x, (owner, cols), np.concatenate([ex.feat_val for ex in batch]))
+    return rows, x
+
+
 def _backward_sparse(model, batch, acts, masks, grad_out):
-    """Parameter gradients for a batch given the output gradient."""
-    grads_w = [np.zeros_like(w) for w in model.weights]
-    grads_b = [np.zeros_like(b) for b in model.biases]
+    """Parameter gradients for a batch given the output gradient.
+
+    The first layer's weight gradient is a _RowGrad: the touched rows and
+    X_b^T delta for them, where X_b is the batch's value matrix.
+    """
+    n_layers = len(model.weights)
+    grads_w, grads_b = [None] * n_layers, [None] * n_layers
     relu_acts = []
     for z, mask in zip(acts[1:], masks[1:]):
         a = np.maximum(z, 0.0)
@@ -166,7 +206,7 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
             a = a * mask
         relu_acts.append(a)
     delta = grad_out
-    for layer in range(len(model.weights) - 1, 0, -1):
+    for layer in range(n_layers - 1, 0, -1):
         a_prev = relu_acts[layer - 1]
         grads_w[layer] = a_prev.T @ delta
         grads_b[layer] = delta.sum(axis=0)
@@ -175,11 +215,14 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
             da = da * masks[layer]
         delta = da * (acts[layer] > 0)
     grads_b[0] = delta.sum(axis=0)
-    w1_grad = grads_w[0]
-    for row, ex in enumerate(batch):
-        if ex.feat_idx.size:
-            w1_grad[ex.feat_idx] += np.outer(ex.feat_val, delta[row])
+    rows, x = _batch_values(batch)
+    grads_w[0] = _RowGrad(rows, x.T @ delta)
     return grads_w, grads_b
+
+
+def _bce_rows(z, y):
+    # -[y log s(z) + (1-y) log(1 - s(z))] = max(z,0) - z y + log(1 + e^-|z|)
+    return (np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean(axis=-1)
 
 
 def bce_loss(logits, label_set, n_labels):
@@ -189,9 +232,7 @@ def bce_loss(logits, label_set, n_labels):
         raise ValueError(f"expected {n_labels} logits, got shape {z.shape}")
     y = np.zeros(n_labels)
     y[np.asarray(list(label_set), dtype=np.int64)] = 1.0
-    # -[y log s(z) + (1-y) log(1 - s(z))] = max(z,0) - z y + log(1 + e^-|z|)
-    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(per.mean())
+    return float(_bce_rows(z, y))
 
 
 def _bce_grad(logits, y):
@@ -199,61 +240,90 @@ def _bce_grad(logits, y):
 
 
 def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
-    """Mean loss over the batch and the gradient at the output layer.
+    """Mean loss over the batch, its gradient at the output, and its split.
 
     Examples with no labels are kept in the forward pass but contribute
-    neither loss nor gradient. The hrr head unbinds the whole batch with
-    one transform pass and reuses precomputed class vectors when a full
-    class matrix fits in memory.
+    neither loss nor gradient. The fc head scores the whole (B x L) block
+    at once. The hrr head unbinds the whole batch with one transform pass,
+    gathers every present class row once (from the precomputed class
+    matrix when one fits in memory) and takes the query loss of all
+    examples in one call. The split is (j_p, j_n) for the hrr head and
+    None for the fc head.
     """
-    n_out = out.shape[1]
-    grad = np.zeros_like(out)
-    losses = []
+    sizes = np.array([ex.labels.size for ex in batch])
+    flat = np.concatenate([ex.labels for ex in batch])
+    owner = np.repeat(np.arange(len(batch)), sizes)
+    labelled = sizes > 0
+    count = max(int(np.count_nonzero(labelled)), 1)
     if model.head == "fc":
-        for row, ex in enumerate(batch):
-            if ex.labels.size == 0:
-                continue
-            y = np.zeros(n_out)
-            y[ex.labels] = 1.0
-            losses.append(bce_loss(out[row], ex.labels, n_out))
-            grad[row] = _bce_grad(out[row], y)
-        count = max(len(losses), 1)
-        return (sum(losses) / count if losses else 0.0), grad / count
+        y = np.zeros_like(out)
+        y[owner, flat] = 1.0
+        loss = float(_bce_rows(out[labelled], y[labelled]).sum()) / count
+        grad = np.where(labelled[:, None], _bce_grad(out, y), 0.0) / count
+        return loss, grad, None
     u_p, u_m = core.unbind(out, space.roles[:, None])
-    g = np.zeros((2,) + out.shape)  # loss gradients in u_p and u_m
-    for row, ex in enumerate(batch):
-        if ex.labels.size == 0:
-            continue
-        if class_matrix is not None:
-            rows = class_matrix[ex.labels]
-        else:
-            rows = space.class_vectors(ex.labels)
-        j_p, j_n, g[0, row], g[1, row] = labelcodec.query_loss_terms(
-            u_p[row], u_m[row], rows, absolute=config.absolute_cosine
-        )
-        losses.append(j_p + j_n)
-    count = max(len(losses), 1)
-    grad = core.bind_sum(space.roles[:, None], g) / count
-    return (sum(losses) / count if losses else 0.0), grad
+    rows = class_matrix[flat] if class_matrix is not None else space.class_vectors(flat)
+    j_p, j_n, g_up, g_um = labelcodec.query_loss_terms(
+        u_p, u_m, rows, owner, absolute=config.absolute_cosine
+    )
+    grad = core.bind_sum(space.roles[:, None], np.stack([g_up, g_um])) / count
+    j_p, j_n = float(j_p.sum()) / count, float(j_n.sum()) / count
+    return j_p + j_n, grad, (j_p, j_n)
 
 
 class _Adam:
-    def __init__(self, params, lr, beta1, beta2, eps):
+    """Adam, fused in place.
+
+    The bias corrections fold into a step size and an epsilon, and every
+    temporary goes through one preallocated work buffer. Every row's
+    moments decay on every step; a _RowGrad adds its rows' gradient on top,
+    which is dense Adam with a zero gradient on the other rows. decay holds
+    each parameter's L2 coefficient; that term is dense and reaches every
+    row.
+    """
+
+    def __init__(self, params, lr, beta1, beta2, eps, decay):
         self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.decay = decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
+        self.work = np.empty(max(p.size for p in params))
         self.t = 0
 
     def step(self, params, grads):
         self.t += 1
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.b1
-            m += (1 - self.b1) * g
-            v *= self.b2
-            v += (1 - self.b2) * g * g
-            mhat = m / (1 - self.b1**self.t)
-            vhat = v / (1 - self.b2**self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        b1, b2 = self.b1, self.b2
+        # lr * mhat / (sqrt(vhat) + eps) == step * m / (sqrt(v) + eps_t)
+        root_bc2 = np.sqrt(1.0 - b2**self.t)
+        step = self.lr * root_bc2 / (1.0 - b1**self.t)
+        eps_t = self.eps * root_bc2
+        for p, g, m, v, decay in zip(params, grads, self.m, self.v, self.decay):
+            buf = self.work[: p.size].reshape(p.shape)
+            if isinstance(g, _RowGrad) and not decay:
+                m *= b1
+                m[g.rows] += (1.0 - b1) * g.values
+                v *= b2
+                v[g.rows] += (1.0 - b2) * np.square(g.values)
+            else:
+                if decay:  # the dense gradient g + decay * p, formed in buf
+                    np.multiply(p, decay, out=buf)
+                    if isinstance(g, _RowGrad):
+                        buf[g.rows] += g.values
+                    else:
+                        buf += g
+                    g = buf
+                m -= g  # m = b1 * m + (1 - b1) * g without a temporary
+                m *= b1
+                m += g
+                np.square(g, out=buf)
+                buf *= 1.0 - b2
+                v *= b2
+                v += buf
+            np.sqrt(v, out=buf)
+            buf += eps_t
+            np.divide(m, buf, out=buf)
+            buf *= step
+            p -= buf
 
 
 def train(model, dataset, config, space=None, val_dataset=None):
@@ -275,7 +345,8 @@ def train(model, dataset, config, space=None, val_dataset=None):
             f"dataset has {dataset.n_labels} labels, model outputs {model.out_dim}"
         )
     params = model.weights + model.biases
-    opt = _Adam(params, config.lr, config.beta1, config.beta2, config.adam_eps)
+    decay = [config.weight_decay] * len(model.weights) + [0.0] * len(model.biases)
+    opt = _Adam(params, config.lr, config.beta1, config.beta2, config.adam_eps, decay)
     class_matrix = None
     if model.head == "hrr" and space.n_classes * space.dim <= 4_000_000:
         class_matrix = space.class_vectors(np.arange(space.n_classes))
@@ -289,25 +360,30 @@ def train(model, dataset, config, space=None, val_dataset=None):
     for epoch in range(config.epochs):
         started = time.perf_counter()
         order = shuffle_rng.permutation(dataset.n_examples)
-        epoch_losses = []
+        phases = np.zeros(4)  # forward, loss, backward, optimizer seconds
+        losses, splits = [], []
         for lo in range(0, dataset.n_examples, config.batch_size):
             batch = [dataset.examples[i] for i in order[lo : lo + config.batch_size]]
+            t0 = time.perf_counter()
             out, acts, masks = _forward_sparse(
                 model, batch, dropout=config.dropout, rng=drop_rng
             )
-            loss_value, grad_out = _batch_loss_and_grad(
+            t1 = time.perf_counter()
+            loss_value, grad_out, split = _batch_loss_and_grad(
                 model, batch, out, space, config, class_matrix=class_matrix
             )
+            t2 = time.perf_counter()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, batch {lo // config.batch_size}"
                 )
-            epoch_losses.append(loss_value)
+            losses.append(loss_value)
+            splits.append(split)
             grads_w, grads_b = _backward_sparse(model, batch, acts, masks, grad_out)
-            if config.weight_decay > 0:
-                for g, w in zip(grads_w, model.weights):
-                    g += config.weight_decay * w
+            t3 = time.perf_counter()
             opt.step(params, grads_w + grads_b)
+            phases += (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
+        trained = time.perf_counter()
         val_p1 = None
         if val_dataset is not None:
             rankings = predict_rankings(model, val_dataset, space, k=1)
@@ -317,12 +393,25 @@ def train(model, dataset, config, space=None, val_dataset=None):
                 if ex.labels.size
             ]
             val_p1 = float(np.mean(hits)) if hits else None
+        j_p = j_n = None
+        if model.head == "hrr" and splits:
+            j_p, j_n = (float(v) for v in np.mean(splits, axis=0))
+        ended = time.perf_counter()
+        train_s = trained - started
         stats.append(
             EpochStats(
                 epoch=epoch,
-                mean_loss=float(np.mean(epoch_losses)) if epoch_losses else 0.0,
-                seconds=time.perf_counter() - started,
+                mean_loss=float(np.mean(losses)) if losses else 0.0,
+                seconds=ended - started,
                 val_p1=val_p1,
+                forward_s=float(phases[0]),
+                loss_s=float(phases[1]),
+                backward_s=float(phases[2]),
+                optimizer_s=float(phases[3]),
+                eval_s=ended - trained,
+                examples_per_s=dataset.n_examples / train_s if train_s > 0 else 0.0,
+                j_p=j_p,
+                j_n=j_n,
             )
         )
     return model, stats
@@ -400,7 +489,9 @@ def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint; returns (model, header).
 
     A file cut short raises ValueError naming the path, the section that is
-    incomplete, and the expected and actual byte counts.
+    incomplete, and the expected and actual byte counts; a file with bytes
+    past the last layer raises ValueError naming the path, the expected
+    size and the actual file size.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -420,7 +511,10 @@ def load_checkpoint(path):
             weights.append(w.astype(np.float64))
             b = _read_exact(fh, 8 * fan_out, path, f"layer {i} bias")
             biases.append(np.frombuffer(b, dtype="<f8").astype(np.float64))
-        trailing = fh.read(1)
-        if trailing:
-            raise ValueError("checkpoint has trailing bytes; shape mismatch?")
+        expected, actual = fh.tell(), os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise ValueError(
+                f"oversized checkpoint {path}: header and layers need {expected} "
+                f"bytes, file has {actual}"
+            )
     return MlpModel(weights=weights, biases=biases, head=header["head"]), header

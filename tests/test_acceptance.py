@@ -187,12 +187,15 @@ def test_criterion_07_gradient_suite():
 
         def batch_loss():
             out, _, _ = tr._forward_sparse(model, batch)
-            value, _ = tr._batch_loss_and_grad(model, batch, out, sp, config)
+            value, _, _ = tr._batch_loss_and_grad(model, batch, out, sp, config)
             return value
 
         out, acts, masks = tr._forward_sparse(model, batch)
-        _, grad_out = tr._batch_loss_and_grad(model, batch, out, sp, config)
+        _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, sp, config)
         grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
+        rows, values = grads_w[0]  # row-sparse first layer, scattered to dense
+        grads_w[0] = np.zeros_like(model.weights[0])
+        grads_w[0][rows] = values
         for p, g in zip(model.weights + model.biases, grads_w + grads_b):
             flat_p, flat_g = p.reshape(-1), g.reshape(-1)
             fd = np.zeros_like(flat_g)

@@ -156,6 +156,14 @@ class TestBadInput:
         assert code == 2
         assert f"--n-min must be >= 1, got {n_min}" in capsys.readouterr().err
 
+    def test_response_n_max_below_n_min(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = run_cli(["response", "--dim", "16", "--n-min", "64", "--n-max", "8",
+                        "--out", str(out)])
+        assert code == 2
+        assert "--n-max must be >= 64, got 8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--queries", "--trials"])
     def test_response_zero_counts(self, flag, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -196,6 +204,13 @@ class TestTrainEvalCommands:
         assert ckpt.exists() and (tmp_path / "model.ckpt.stats.jsonl").exists()
         stats_lines = (tmp_path / "model.ckpt.stats.jsonl").read_text().splitlines()
         assert json.loads(stats_lines[1])["epoch"] == 0
+        for line in stats_lines[1:]:
+            row = json.loads(line)
+            assert set(row) == {
+                "epoch", "mean_loss", "seconds", "val_p1", "forward_s", "loss_s",
+                "backward_s", "optimizer_s", "eval_s", "examples_per_s", "j_p", "j_n",
+            }
+            assert abs(row["j_p"] + row["j_n"] - row["mean_loss"]) <= 1e-12
 
         report_path = tmp_path / "report.json"
         assert run_cli([

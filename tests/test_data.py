@@ -65,6 +65,137 @@ class TestParse:
         assert dataio.serialize_xml_repo(ds) == "2 3 2\n0 0:1.5 2:0.5\n0,1 1:2.0\n"
 
 
+def reference_parse(text, one_based=False):
+    """Line-by-line parser as it was before block parsing: (n, d, l, examples)."""
+    lines = text.split("\n")
+    shift = 1 if one_based else 0
+    n, d, l = (int(tok) for tok in lines[0].split())
+    examples = []
+    for line_no, line in enumerate(lines[1:-1], start=2):
+        if not line.strip() and len(examples) == n:
+            continue
+        label_field, _, rest = line.partition(" ")
+        labels = []
+        if label_field:
+            for tok in label_field.split(","):
+                try:
+                    idx = int(tok) - shift
+                except ValueError:
+                    raise dataio.DatasetFormatError(
+                        f"line {line_no}: non-numeric label index {tok!r}"
+                    ) from None
+                if not 0 <= idx < l:
+                    raise dataio.DatasetFormatError(
+                        f"line {line_no}: label index {idx} outside [0, {l})"
+                    )
+                labels.append(idx)
+        idxs, vals = [], []
+        for tok in rest.split():
+            feat, colon, val = tok.partition(":")
+            if not colon:
+                raise dataio.DatasetFormatError(
+                    f"line {line_no}: feature token {tok!r} missing ':'"
+                )
+            try:
+                idx = int(feat) - shift
+            except ValueError:
+                raise dataio.DatasetFormatError(
+                    f"line {line_no}: non-numeric feature index {feat!r}"
+                ) from None
+            if not 0 <= idx < d:
+                raise dataio.DatasetFormatError(
+                    f"line {line_no}: feature index {idx} outside [0, {d})"
+                )
+            try:
+                value = float(val)
+            except ValueError:
+                raise dataio.DatasetFormatError(
+                    f"line {line_no}: non-numeric feature value {val!r}"
+                ) from None
+            if not np.isfinite(value):
+                raise dataio.DatasetFormatError(f"line {line_no}: non-finite feature value")
+            idxs.append(idx)
+            vals.append(value)
+        order = np.argsort(idxs, kind="stable")
+        idxs = np.asarray(idxs, dtype=np.int64)[order]
+        vals = np.asarray(vals, dtype=np.float64)[order]
+        if idxs.size and np.any(np.diff(idxs) == 0):
+            raise dataio.DatasetFormatError(f"line {line_no}: duplicate feature index")
+        examples.append((idxs, vals, np.unique(np.asarray(labels, dtype=np.int64))))
+    return n, d, l, examples
+
+
+def block_test_lines(n=1300, seed=8):
+    """Header and example lines of a synthetic file spanning three blocks."""
+    ds = dataio.synth_generate(n, 60, 12, labels_per_point=2, seed=seed, noise=0.3)
+    return dataio.serialize_xml_repo(ds).split("\n")[:-1]
+
+
+class TestBlockParse:
+    def assert_matches_reference(self, text, one_based=False):
+        n, d, l, want = reference_parse(text, one_based=one_based)
+        got = dataio.parse_xml_repo(text, one_based=one_based)
+        assert (got.n_examples, got.n_features, got.n_labels) == (n, d, l)
+        assert len(got.examples) == len(want)
+        for ex, (idxs, vals, labels) in zip(got.examples, want):
+            for a, b in ((ex.feat_idx, idxs), (ex.feat_val, vals), (ex.labels, labels)):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_synthetic_roundtrip_matches_line_parser(self):
+        self.assert_matches_reference("\n".join(block_test_lines()) + "\n")
+
+    def test_irregular_lines_match_line_parser(self):
+        lines = block_test_lines()
+        lines[5] = " " + lines[5].partition(" ")[2]  # no labels
+        lines[600] = "3,1,3 7:1.5 2:0.25"  # unsorted labels and features
+        lines[700] = ""  # blank line inside the declared count: empty example
+        lines[1200] = "4"  # labels, no features
+        self.assert_matches_reference("\n".join(lines) + "\n\n")
+
+    def test_one_based_matches_line_parser(self):
+        lines = block_test_lines()
+        shifted = [lines[0]] + [
+            " ".join(
+                [",".join(str(int(t) + 1) for t in head.split(",")) if head else ""]
+                + [f"{int(i) + 1}:{v}" for i, _, v in (tok.partition(":") for tok in rest.split())]
+            )
+            for head, _, rest in (line.partition(" ") for line in lines[1:])
+        ]
+        self.assert_matches_reference("\n".join(shifted) + "\n", one_based=True)
+
+    @pytest.mark.parametrize(
+        "token,message",
+        [
+            ("1:2:3", "non-numeric feature value '2:3'"),
+            ("7", "feature token '7' missing ':'"),
+            ("9:nan", "non-finite feature value"),
+            ("60:1.0", "feature index 60 outside [0, 60)"),
+            ("x:1.0", "non-numeric feature index 'x'"),
+            ("dup", "duplicate feature index"),
+        ],
+    )
+    def test_bad_token_in_third_block_names_its_line(self, token, message):
+        lines = block_test_lines()
+        bad = 1100  # example lines 2-513 are block one, 1026-1537 block three
+        if token == "dup":
+            token = lines[bad].split()[1]
+        lines[bad] += " " + token
+        lines[bad + 50] += " also:bad"  # a later error must not be reported
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(dataio.DatasetFormatError) as want:
+            reference_parse(text)
+        with pytest.raises(dataio.DatasetFormatError) as got:
+            dataio.parse_xml_repo(text)
+        assert str(got.value) == str(want.value) == f"line {bad + 1}: {message}"
+
+    def test_extra_line_after_declared_count(self):
+        lines = block_test_lines(n=600)
+        text = "\n".join(lines) + "\n\n0 1:1.0\n"
+        with pytest.raises(dataio.DatasetFormatError, match="declared 600 examples, file has 601"):
+            dataio.parse_xml_repo(text)
+
+
 class TestPropensities:
     def test_ubiquitous_label_has_unit_propensity(self):
         ds = dataio.parse_xml_repo("2 2 2\n0 0:1.0\n0 1:1.0\n")

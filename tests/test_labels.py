@@ -176,6 +176,53 @@ class TestLoss:
         np.testing.assert_array_equal(a[1], b[1])
 
 
+def reference_cosines_and_grads(u, rows):
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(rows, axis=1)
+    den = nu * nv + core.COSINE_EPS
+    cs = (rows @ u) / den
+    grads = (rows - np.outer(cs * nv / max(nu, 1e-300), u)) / den[:, None]
+    return cs, grads
+
+
+def reference_query_loss_terms(u_p, u_m, class_rows, absolute=False):
+    """Per-example query loss as it was before the batched path."""
+    cs, grads = reference_cosines_and_grads(u_p, class_rows)
+    if absolute:
+        j_p = float(np.sum(1.0 - np.abs(cs)))
+        g_up = -(np.sign(cs)[:, None] * grads).sum(axis=0)
+    else:
+        j_p = float(np.sum(1.0 - cs))
+        g_up = -grads.sum(axis=0)
+    cs_n, grads_n = reference_cosines_and_grads(u_m, class_rows.sum(axis=0)[None, :])
+    c_n = float(cs_n[0])
+    if absolute:
+        return j_p, abs(c_n), g_up, np.sign(c_n) * grads_n[0]
+    return j_p, c_n, g_up, grads_n[0]
+
+
+class TestBatchedQueryLoss:
+    @pytest.mark.parametrize("absolute", [False, True])
+    def test_matches_per_example_reference(self, absolute):
+        sp = lb.make_label_space(30, 48, seed=22)
+        rng = np.random.default_rng(23)
+        label_sets = [[4], [0, 7, 29], [], [3, 11], [5, 6, 8, 9]]
+        u_p = rng.standard_normal((5, 48))
+        u_m = rng.standard_normal((5, 48))
+        owner = np.repeat(np.arange(5), [len(ls) for ls in label_sets])
+        rows = sp.class_vectors(np.concatenate([ls for ls in label_sets if ls]))
+        j_p, j_n, g_up, g_um = lb.query_loss_terms(u_p, u_m, rows, owner, absolute)
+        for b, present in enumerate(label_sets):
+            class_rows = sp.class_vectors(present) if present else np.zeros((0, 48))
+            want = reference_query_loss_terms(u_p[b], u_m[b], class_rows, absolute)
+            assert j_p[b] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
+            assert j_n[b] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose(g_up[b], want[2], rtol=1e-10, atol=1e-14)
+            np.testing.assert_allclose(g_um[b], want[3], rtol=1e-10, atol=1e-14)
+        assert j_p[2] == j_n[2] == 0.0
+        assert not g_up[2].any() and not g_um[2].any()
+
+
 class TestDecode:
     def test_single_label_roundtrip_rate(self):
         hits = 0

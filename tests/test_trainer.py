@@ -16,6 +16,14 @@ def dense_forward(model, x):
     return a @ model.weights[-1] + model.biases[-1]
 
 
+def dense_w1_grad(model, grads_w):
+    """Scatter the row-sparse first-layer gradient into a dense array."""
+    rows, values = grads_w[0]
+    w1_grad = np.zeros_like(model.weights[0])
+    w1_grad[rows] = values
+    return [w1_grad] + grads_w[1:]
+
+
 def model_params_bytes(model):
     return b"".join(p.tobytes() for p in model.weights + model.biases)
 
@@ -110,12 +118,13 @@ class TestBackward:
 
         def batch_loss():
             out, _, _ = tr._forward_sparse(model, batch)
-            value, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
+            value, _, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
             return value
 
         out, acts, masks = tr._forward_sparse(model, batch)
-        _, grad_out = tr._batch_loss_and_grad(model, batch, out, space, config)
+        _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
         grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
+        grads_w = dense_w1_grad(model, grads_w)
         h = 1e-6
         for params, grads in ((model.weights, grads_w), (model.biases, grads_b)):
             for p, g in zip(params, grads):
@@ -140,7 +149,148 @@ class TestBackward:
         grads_w, grads_b = tr._backward_sparse(
             model, ds.examples, acts, masks, np.zeros_like(out)
         )
+        grads_w = dense_w1_grad(model, grads_w)
         assert all(np.all(g == 0) for g in grads_w + grads_b)
+
+    def test_row_sparse_w1_gradient_matches_per_row_outer_sum(self):
+        ds = planted(24, seed=20, noise=0.3)
+        model = tr.init_model(100, (16,), 20, "fc", seed=12)
+        out, acts, masks = tr._forward_sparse(model, ds.examples)
+        grad_out = np.random.default_rng(21).standard_normal(out.shape)
+        grads_w, grads_b = tr._backward_sparse(model, ds.examples, acts, masks, grad_out)
+        delta = (grad_out @ model.weights[1].T) * (acts[1] > 0)
+        reference = np.zeros_like(model.weights[0])
+        for row, ex in enumerate(ds.examples):
+            reference[ex.feat_idx] += np.outer(ex.feat_val, delta[row])
+        rows, values = grads_w[0]
+        touched = np.unique(np.concatenate([ex.feat_idx for ex in ds.examples]))
+        np.testing.assert_array_equal(rows, touched)
+        np.testing.assert_allclose(values, reference[rows], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(
+            dense_w1_grad(model, grads_w)[0], reference, rtol=1e-12, atol=1e-14
+        )
+        np.testing.assert_allclose(grads_b[0], delta.sum(axis=0), rtol=1e-12)
+
+
+def reference_bce_loss(logits, label_set, n_labels):
+    """Per-example fc loss as it was before the batched path."""
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.zeros(n_labels)
+    y[np.asarray(list(label_set), dtype=np.int64)] = 1.0
+    per = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+    return float(per.mean())
+
+
+def reference_bce_grad(logits, y):
+    return (1.0 / (1.0 + np.exp(-logits)) - y) / logits.shape[-1]
+
+
+def batch_with_unlabelled_row(n, seed):
+    ds = planted(n, seed=seed, noise=0.2)
+    ex = ds.examples[2]
+    ds.examples[2] = dataio.SparseExample(ex.feat_idx, ex.feat_val, np.zeros(0, np.int64))
+    return ds.examples
+
+
+class TestBatchedLoss:
+    def test_fc_matches_per_example_reference(self):
+        batch = batch_with_unlabelled_row(7, seed=22)
+        model = tr.init_model(100, (8,), 20, "fc", seed=13)
+        out, _, _ = tr._forward_sparse(model, batch)
+        out *= 3.0  # spread the logits
+        loss, grad, split = tr._batch_loss_and_grad(
+            model, batch, out, None, tr.TrainConfig(epochs=0)
+        )
+        losses, ref_grad = [], np.zeros_like(out)
+        for row, ex in enumerate(batch):
+            if ex.labels.size == 0:
+                continue
+            y = np.zeros(20)
+            y[ex.labels] = 1.0
+            losses.append(reference_bce_loss(out[row], ex.labels, 20))
+            ref_grad[row] = reference_bce_grad(out[row], y)
+        assert split is None
+        assert loss == pytest.approx(sum(losses) / len(losses), rel=1e-12)
+        np.testing.assert_allclose(grad, ref_grad / len(losses), rtol=1e-12, atol=1e-16)
+        assert np.all(grad[2] == 0.0)
+
+    @pytest.mark.parametrize("absolute", [False, True])
+    @pytest.mark.parametrize("precomputed", [False, True])
+    def test_hrr_matches_per_example_loss(self, absolute, precomputed):
+        batch = batch_with_unlabelled_row(7, seed=23)
+        space = lb.make_label_space(20, 16, seed=14)
+        model = tr.init_model(100, (8,), 16, "hrr", seed=15)
+        model.biases[-1] += 0.1
+        out, _, _ = tr._forward_sparse(model, batch)
+        config = tr.TrainConfig(epochs=0, absolute_cosine=absolute)
+        matrix = space.class_vectors(np.arange(20)) if precomputed else None
+        loss, grad, (j_p, j_n) = tr._batch_loss_and_grad(
+            model, batch, out, space, config, class_matrix=matrix
+        )
+        parts, ref_grad = [], np.zeros_like(out)
+        for row, ex in enumerate(batch):
+            if ex.labels.size == 0:
+                continue
+            breakdown, ref_grad[row] = lb.loss_with_gradient(
+                space, out[row], ex.labels, absolute=absolute
+            )
+            parts.append((breakdown.j_p, breakdown.j_n))
+        ref_jp, ref_jn = np.mean(parts, axis=0)
+        assert j_p == pytest.approx(ref_jp, rel=1e-12)
+        assert j_n == pytest.approx(ref_jn, rel=1e-12, abs=1e-15)
+        assert loss == j_p + j_n
+        np.testing.assert_allclose(grad, ref_grad / len(parts), rtol=1e-10, atol=1e-14)
+        assert np.all(grad[2] == 0.0)
+
+
+def textbook_adam(params, grads, m, v, t, lr, b1, b2, eps, decay):
+    """Kingma & Ba's update with L2 decay added to the dense gradient."""
+    for p, g, mm, vv, wd in zip(params, grads, m, v, decay):
+        g = g + wd * p
+        mm[...] = b1 * mm + (1 - b1) * g
+        vv[...] = b2 * vv + (1 - b2) * g * g
+        mhat = mm / (1 - b1**t)
+        vhat = vv / (1 - b2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + eps)
+
+
+class TestFusedAdam:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("sparse_w1", [False, True])
+    def test_matches_textbook_update(self, weight_decay, sparse_w1):
+        rng = np.random.default_rng(24)
+        shapes = [(30, 6), (6, 4), (6,), (4,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        start = [p.copy() for p in params]
+        ref_params = [p.copy() for p in params]
+        decay = [weight_decay, weight_decay, 0.0, 0.0]
+        hyper = dict(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = tr._Adam(params, **hyper, decay=decay)
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        for t in range(1, 5):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            fed = list(grads)
+            if sparse_w1:
+                rows = np.sort(rng.choice(30, size=7, replace=False))
+                grads[0] = np.zeros(shapes[0])
+                grads[0][rows] = rng.standard_normal((7, 6))
+                fed[0] = tr._RowGrad(rows, grads[0][rows].copy())
+            opt.step(params, fed)
+            textbook_adam(ref_params, grads, ref_m, ref_v, t, 1e-2, 0.9, 0.999, 1e-8, decay)
+            pairs = [(p - p0, r - p0) for p, r, p0 in zip(params, ref_params, start)]
+            pairs += list(zip(opt.m, ref_m)) + list(zip(opt.v, ref_v))
+            for got, want in pairs:
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_work_buffer_is_preallocated_once(self):
+        params = [np.ones((5, 3)), np.ones(3)]
+        opt = tr._Adam(params, 1e-3, 0.9, 0.999, 1e-8, decay=[0.1, 0.0])
+        work = opt.work
+        assert work.size == 15
+        for _ in range(3):
+            opt.step(params, [tr._RowGrad(np.array([1, 4]), np.ones((2, 3))), np.ones(3)])
+        assert opt.work is work
 
 
 class TestTraining:
@@ -211,6 +361,25 @@ class TestTraining:
         tr.train(model, ds, tr.TrainConfig(epochs=2, seed=10), space=space)
         after = [space.class_vector(i).tobytes() for i in range(20)]
         assert before == after
+
+    @pytest.mark.parametrize("head,out_dim", [("fc", 20), ("hrr", 32)])
+    def test_epoch_stats_carry_phase_timings_and_loss_split(self, head, out_dim):
+        ds = planted(96, seed=25)
+        space = lb.make_label_space(20, out_dim, seed=11) if head == "hrr" else None
+        model = tr.init_model(100, (8,), out_dim, head, seed=11)
+        _, stats = tr.train(
+            model, ds, tr.TrainConfig(epochs=2, batch_size=32, seed=11),
+            space=space, val_dataset=planted(16, seed=26),
+        )
+        for s in stats:
+            phases = (s.forward_s, s.loss_s, s.backward_s, s.optimizer_s, s.eval_s)
+            assert all(p > 0.0 for p in phases)
+            assert sum(phases) <= s.seconds
+            assert s.examples_per_s > 0.0
+            if head == "hrr":
+                assert abs(s.j_p + s.j_n - s.mean_loss) <= 1e-12
+            else:
+                assert s.j_p is None and s.j_n is None
 
 
 class TestParamCount:
@@ -289,3 +458,16 @@ class TestCheckpoint:
             with pytest.raises(ValueError) as info:
                 tr.load_checkpoint(short)
             assert str(info.value) == message
+
+    def test_trailing_byte_names_path_and_sizes(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(tr.init_model(12, (6,), 4, "fc", seed=2), path)
+        size = path.stat().st_size
+        with open(path, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(ValueError) as err:
+            tr.load_checkpoint(path)
+        assert str(err.value) == (
+            f"oversized checkpoint {path}: header and layers need {size} bytes, "
+            f"file has {size + 1}"
+        )
