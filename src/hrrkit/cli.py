@@ -82,12 +82,7 @@ def _check_min(args, **minimums):
 
 
 def _vsa_list(values):
-    kinds = []
-    for value in values:
-        for tok in str(value).split(","):
-            if tok:
-                kinds.append(VsaKind(tok))
-    return kinds
+    return [VsaKind(tok) for value in values for tok in str(value).split(",") if tok]
 
 
 # ----------------------------------------------------------------- capacity
@@ -286,13 +281,11 @@ def cmd_eval(args):
             model, dataset, space=space, k=max(ks)
         )
         out_params, total = trainermod.param_count(model)
-        hidden_width = header["layer_sizes"][-2]
+        comp = 0.0
         if model.head == "hrr":
             comp = trainermod.compression_percent(
-                header["n_labels"], header["d_prime"], hidden_width
+                header["n_labels"], header["d_prime"], header["layer_sizes"][-2]
             )
-        else:
-            comp = 0.0
         params_block = {
             "output_params": out_params,
             "total_params": total,

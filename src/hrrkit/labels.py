@@ -23,6 +23,7 @@ a counter-based seed on demand, so no L x d' matrix is ever stored.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -41,9 +42,11 @@ __all__ = [
     "loss_with_gradient",
     "make_label_space",
     "query_loss_terms",
+    "topk",
 ]
 
 _CLASS_BLOCK = 512  # classes regenerated per chunk when streaming
+_MERGE_CELLS = 16384  # scores per topk step (>= 16 columns); bounds its temporaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,9 +65,9 @@ class LossBreakdown:
 class LabelSpace:
     """Fixed random role and class vectors for one labeling task.
 
-    Immutable after construction and safe to share across threads. Class
-    vectors are deterministic functions of (seed, class index) and are
-    regenerated on demand rather than stored.
+    Class vectors are deterministic functions of (seed, class index), made
+    on demand, not stored; their sum is cached on first access. Sharing
+    across threads is safe: a first-access race computes the same sum twice.
     """
 
     def __init__(self, n_classes, dim, seed):
@@ -84,7 +87,6 @@ class LabelSpace:
         m = raw - (raw @ p_hat) * p_hat
         self.m = m * (np.linalg.norm(self.p) / np.linalg.norm(m))
         self.roles = np.stack([self.p, self.m])
-        self.all_classes = self._sum_all_classes()
 
     def class_seed(self, index):
         return mix64(self.seed, index)
@@ -102,17 +104,16 @@ class LabelSpace:
     def class_vector(self, index):
         return self.class_vectors([index])[0]
 
-    def iter_class_blocks(self, block=_CLASS_BLOCK):
+    def iter_class_blocks(self):
         """Yield (start, vectors) chunks covering all classes in order."""
-        for start in range(0, self.n_classes, block):
-            stop = min(start + block, self.n_classes)
+        for start in range(0, self.n_classes, _CLASS_BLOCK):
+            stop = min(start + _CLASS_BLOCK, self.n_classes)
             yield start, self.class_vectors(np.arange(start, stop))
 
-    def _sum_all_classes(self):
-        total = np.zeros(self.dim)
-        for _, rows in self.iter_class_blocks():
-            total += rows.sum(axis=0)
-        return total
+    @functools.cached_property
+    def all_classes(self):
+        """Sum of every class vector, A in the statement formula."""
+        return sum(rows.sum(axis=0) for _, rows in self.iter_class_blocks())
 
     def _check_indices(self, indices):
         if indices.size and (indices.min() < 0 or indices.max() >= self.n_classes):
@@ -243,19 +244,40 @@ def class_scores(space, s_hat):
     if s_hat.shape != (space.dim,):
         raise ValueError(f"prediction must have shape ({space.dim},)")
     query = core.unbind(s_hat, space.p)
-    scores = np.empty(space.n_classes)
-    for start, rows in space.iter_class_blocks():
-        scores[start : start + rows.shape[0]] = rows @ query
-    return scores
+    return np.concatenate([rows @ query for _, rows in space.iter_class_blocks()])
+
+
+def topk(blocks, k):
+    """Column indices of each row's k best scores, best first.
+
+    blocks yields (start, scores) pairs in ascending start, scores an (n, w)
+    block of columns from start. Each step stably argsorts the kept winners
+    and the next few columns; the winners have lower indices, so ties break
+    toward the lower index, as in one full stable argsort.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    best = index = None
+    for start, block in blocks:
+        width = max(16, _MERGE_CELLS // (len(block) + 1))
+        for lo in range(0, block.shape[1], width):
+            scores = block[:, lo : lo + width]
+            cols = np.broadcast_to(np.arange(scores.shape[1]) + start + lo, scores.shape)
+            if best is not None:
+                scores = np.concatenate([best, scores], axis=1)
+                cols = np.concatenate([index, cols], axis=1)
+            order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+            best = np.take_along_axis(scores, order, axis=1)
+            index = np.take_along_axis(cols, order, axis=1)
+        del block  # so the producer's next block does not coexist with this one
+    return index
 
 
 def decode_topk(space, s_hat, k):
     """Indices of the k highest-scoring classes, ties broken by lower index."""
     if not 1 <= k <= space.n_classes:
         raise ValueError(f"k must be in [1, {space.n_classes}], got {k}")
-    scores = class_scores(space, s_hat)
-    order = np.argsort(-scores, kind="stable")
-    return order[:k].tolist()
+    return topk([(0, class_scores(space, s_hat)[None])], k)[0].tolist()
 
 
 def decode_threshold(space, s_hat, tau=0.5):

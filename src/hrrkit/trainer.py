@@ -23,7 +23,9 @@ import time
 import numpy as np
 
 from . import core
+from . import data
 from . import labels as labelcodec
+from . import metrics
 from .seeds import mix64
 
 __all__ = [
@@ -159,19 +161,12 @@ def _dropout(a, rate, rng):
 
 def forward(model, feat_idx, feat_val):
     """Output vector for one sparse example (logits or statement vector)."""
-    if len(feat_idx) and max(feat_idx) >= model.weights[0].shape[0]:
+    idx = np.asarray(feat_idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= model.weights[0].shape[0]):
         raise ValueError("feature index out of range for this model")
-    ex = _Example(
-        np.asarray(feat_idx, dtype=np.int64), np.asarray(feat_val, dtype=np.float64)
-    )
-    out, _, _ = _forward_sparse(model, [ex])
-    return out[0]
-
-
-@dataclasses.dataclass
-class _Example:
-    feat_idx: np.ndarray
-    feat_val: np.ndarray
+    val = np.asarray(feat_val, dtype=np.float64)
+    ex = data.SparseExample(idx, val, labels=np.empty(0, dtype=np.int64))
+    return _forward_sparse(model, [ex])[0][0]
 
 
 # Gradient of the first-layer weights at the sorted unique feature rows a
@@ -387,12 +382,8 @@ def train(model, dataset, config, space=None, val_dataset=None):
         val_p1 = None
         if val_dataset is not None:
             rankings = predict_rankings(model, val_dataset, space, k=1)
-            hits = [
-                1.0 if r[0] in set(ex.labels.tolist()) else 0.0
-                for r, ex in zip(rankings, val_dataset.examples)
-                if ex.labels.size
-            ]
-            val_p1 = float(np.mean(hits)) if hits else None
+            truths = [ex.labels.tolist() for ex in val_dataset.examples]
+            val_p1 = metrics.metric_report(rankings, truths, ks=(1,)).get("P@1")
         j_p = j_n = None
         if model.head == "hrr" and splits:
             j_p, j_n = (float(v) for v in np.mean(splits, axis=0))
@@ -420,26 +411,19 @@ def train(model, dataset, config, space=None, val_dataset=None):
 def predict_rankings(model, dataset, space=None, k=5):
     """Top-k label rankings for every example, best score first.
 
-    For the hrr head, class scores stream through fixed-size blocks of
-    regenerated class vectors; ties resolve toward the lower index.
+    Ranked by labels.topk, ties toward the lower index; hrr class scores
+    stream block by block, so no (examples x classes) matrix is formed.
     """
-    outs = []
-    batchsize = 256
-    for lo in range(0, dataset.n_examples, batchsize):
-        batch = dataset.examples[lo : lo + batchsize]
-        out, _, _ = _forward_sparse(model, batch)
-        outs.append(out)
+    outs = [
+        _forward_sparse(model, dataset.examples[lo : lo + 256])[0]
+        for lo in range(0, dataset.n_examples, 256)
+    ]
     out = np.concatenate(outs) if outs else np.zeros((0, model.out_dim))
-    if model.head == "fc":
-        scores = out
-    else:
+    blocks = [(0, out)]
+    if model.head == "hrr":
         queries = core.unbind(out, space.p)
-        scores = np.empty((dataset.n_examples, space.n_classes))
-        for start, rows in space.iter_class_blocks():
-            scores[:, start : start + rows.shape[0]] = queries @ rows.T
-    k = min(k, scores.shape[1])
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return [row[:k].tolist() for row in order]
+        blocks = ((i, queries @ rows.T) for i, rows in space.iter_class_blocks())
+    return labelcodec.topk(blocks, k).tolist()
 
 
 def param_count(model):

@@ -46,6 +46,22 @@ class TestLabelSpace:
         total = sum(sp.class_vector(i) for i in range(37))
         np.testing.assert_allclose(sp.all_classes, total, atol=1e-8)
 
+    def test_construction_regenerates_no_class_vectors(self, monkeypatch):
+        calls = []
+        original = lb.LabelSpace.class_vectors
+
+        def counting(self, indices):
+            calls.append(len(np.atleast_1d(indices)))
+            return original(self, indices)
+
+        monkeypatch.setattr(lb.LabelSpace, "class_vectors", counting)
+        sp = lb.make_label_space(1100, 16, seed=2)
+        assert calls == []
+        total = sp.all_classes
+        assert sum(calls) == 1100
+        assert sp.all_classes is total  # computed once, then cached
+        assert sum(calls) == 1100
+
     def test_class_vectors_nearly_orthogonal(self):
         sp = lb.make_label_space(1000, 256, seed=3)
         rng = np.random.default_rng(4)
@@ -272,3 +288,74 @@ class TestDecode:
         s_hat = core.sample_standard(64, 7)
         assert lb.decode_threshold(sp, s_hat, np.inf) == []
         assert lb.decode_threshold(sp, s_hat, -np.inf) == list(range(10))
+
+
+def column_blocks(scores, widths):
+    """Split a score matrix into (start, block) pairs of the given widths."""
+    start = 0
+    for width in widths:
+        yield start, scores[:, start : start + width]
+        start += width
+
+
+def stable_topk(scores, k):
+    """The full stable argsort of descending scores that labels.topk streams."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+class TestTopk:
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
+    @pytest.mark.parametrize("n", [1, 7, 300, 1100])
+    def test_matches_full_stable_argsort(self, tied, k, n):
+        # small n merges a block in one step; n=300 and n=1100 split each
+        # 100-column block into several steps of fewer columns than k=101
+        rng = np.random.default_rng(k + 1000 * tied + 7 * n)
+        for trial in range(3):
+            n_cols = 350
+            if tied:  # few distinct integer values: many exact ties
+                scores = rng.integers(-3, 4, size=(n, n_cols)).astype(np.float64)
+            else:
+                scores = rng.standard_normal((n, n_cols))
+            # blocks of 100 columns with an uneven last block of 50
+            got = lb.topk(column_blocks(scores, [100, 100, 100, 50]), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
+            assert got.shape == (n, min(k, n_cols))
+
+    def test_uneven_and_narrow_blocks(self):
+        rng = np.random.default_rng(3)
+        scores = rng.integers(0, 2, size=(17, 203)).astype(np.float64)
+        widths = [1, 2, 64, 33, 7, 96]
+        for k in (1, 3, 40, 203, 500):
+            got = lb.topk(column_blocks(scores, widths), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
+
+    def test_ties_break_toward_lower_index(self):
+        scores = np.zeros((2, 90))
+        scores[1, [80, 5, 40]] = 1.0
+        got = lb.topk(column_blocks(scores, [30, 30, 30]), 4)
+        assert got.tolist() == [[0, 1, 2, 3], [5, 40, 80, 0]]
+
+    def test_zero_rows(self):
+        got = lb.topk(column_blocks(np.zeros((0, 70)), [50, 20]), 5)
+        assert got.shape == (0, 5)
+
+    def test_k_below_one_raises(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lb.topk([(0, np.zeros((2, 3)))], 0)
+
+    def test_class_scores_span_blocks(self):
+        sp = lb.make_label_space(1100, 16, seed=23)
+        s_hat = core.sample_standard(16, 8)
+        query = core.unbind(s_hat, sp.p)
+        want = sp.class_vectors(np.arange(1100)) @ query
+        np.testing.assert_allclose(lb.class_scores(sp, s_hat), want, rtol=1e-12, atol=1e-14)
+
+    def test_decode_topk_matches_full_argsort_of_class_scores(self):
+        sp = lb.make_label_space(1100, 16, seed=24)
+        s_hat = core.sample_standard(16, 9)
+        scores = lb.class_scores(sp, s_hat)
+        for k in (1, 5, 600, 1100):
+            got = lb.decode_topk(sp, s_hat, k)
+            assert got == np.argsort(-scores, kind="stable")[:k].tolist()
+            assert all(type(i) is int for i in got)

@@ -1,8 +1,11 @@
 """Tests for the feedforward trainer, its heads, and checkpointing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hrrkit import core
 from hrrkit import data as dataio
 from hrrkit import labels as lb
 from hrrkit import trainer as tr
@@ -75,6 +78,12 @@ class TestForward:
         model = tr.init_model(6, (4,), 3, "fc", seed=5)
         with pytest.raises(ValueError):
             tr.forward(model, [6], [1.0])
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_feature_index_outside_model_raises(self, bad):
+        model = tr.init_model(6, (4,), 3, "fc", seed=5)
+        with pytest.raises(ValueError, match="feature index out of range"):
+            tr.forward(model, [2, bad], [1.0, 1.0])
 
 
 class TestBce:
@@ -380,6 +389,124 @@ class TestTraining:
                 assert abs(s.j_p + s.j_n - s.mean_loss) <= 1e-12
             else:
                 assert s.j_p is None and s.j_n is None
+
+
+def dense_rankings(model, dataset, space=None, k=5):
+    """The dense (n x L) score matrix and full stable argsort that
+    predict_rankings used before it streamed through labels.topk."""
+    outs = []
+    batchsize = 256
+    for lo in range(0, dataset.n_examples, batchsize):
+        batch = dataset.examples[lo : lo + batchsize]
+        out, _, _ = tr._forward_sparse(model, batch)
+        outs.append(out)
+    out = np.concatenate(outs) if outs else np.zeros((0, model.out_dim))
+    if model.head == "fc":
+        scores = out
+    else:
+        queries = core.unbind(out, space.p)
+        scores = np.empty((dataset.n_examples, space.n_classes))
+        for start, rows in space.iter_class_blocks():
+            scores[:, start : start + rows.shape[0]] = queries @ rows.T
+    k = min(k, scores.shape[1])
+    order = np.argsort(-scores, axis=1, kind="stable")
+    return [row[:k].tolist() for row in order]
+
+
+def old_val_p1(rankings, dataset):
+    """The validation P@1 loop that train used before metric_report."""
+    hits = [
+        1.0 if r[0] in set(ex.labels.tolist()) else 0.0
+        for r, ex in zip(rankings, dataset.examples)
+        if ex.labels.size
+    ]
+    return float(np.mean(hits)) if hits else None
+
+
+def assert_int_rankings(rankings, n, k):
+    assert isinstance(rankings, list) and len(rankings) == n
+    for row in rankings:
+        assert isinstance(row, list) and len(row) == k
+        assert all(type(i) is int for i in row)
+
+
+class TestPredictRankings:
+    @pytest.mark.parametrize("k", [1, 5, 25])
+    def test_fc_head_matches_dense_argsort(self, k):
+        ds = planted(300, seed=30)
+        model = tr.init_model(100, (8,), 20, "fc", seed=30)
+        got = tr.predict_rankings(model, ds, k=k)
+        assert got == dense_rankings(model, ds, k=k)
+        assert_int_rankings(got, 300, min(k, 20))
+
+    def test_fc_head_exact_ties_break_toward_lower_index(self):
+        ds = planted(40, seed=31)
+        model = tr.init_model(100, (8,), 20, "fc", seed=31)
+        model.weights[-1][:] = 0.0
+        model.biases[-1][:] = np.arange(20) % 3  # every row: 2 at 2, 5, 8, ...
+        got = tr.predict_rankings(model, ds, k=5)
+        assert got == dense_rankings(model, ds, k=5)
+        assert got[0] == [2, 5, 8, 11, 14]
+
+    @pytest.mark.parametrize("k", [1, 5, 700])
+    def test_hrr_head_over_three_class_blocks_matches_dense_argsort(self, k):
+        n_labels = 2 * lb._CLASS_BLOCK + 300
+        ds = dataio.synth_generate(300, n_labels, n_labels, 3, seed=32, noise=0.1)
+        space = lb.make_label_space(n_labels, 24, seed=32)
+        model = tr.init_model(n_labels, (8,), 24, "hrr", seed=32)
+        got = tr.predict_rankings(model, ds, space=space, k=k)
+        assert got == dense_rankings(model, ds, space=space, k=k)
+        assert_int_rankings(got, 300, k)
+
+    def test_empty_dataset(self):
+        ds = dataio.SparseDataset(n_examples=0, n_features=100, n_labels=20, examples=[])
+        model = tr.init_model(100, (8,), 32, "hrr", seed=33)
+        space = lb.make_label_space(20, 32, seed=33)
+        assert tr.predict_rankings(model, ds, space=space, k=3) == []
+
+    def test_hrr_peak_memory_stays_far_below_a_dense_score_matrix(self):
+        n, n_labels = 512, 4096
+        ds = dataio.synth_generate(n, n_labels, n_labels, 1, seed=34)
+        space = lb.make_label_space(n_labels, 32, seed=34)
+        model = tr.init_model(n_labels, (16,), 32, "hrr", seed=34)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tr.predict_rankings(model, ds, space=space, k=5)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the dense path held the scores, their negation and the argsort:
+        # about 3 * n * L * 8 bytes
+        assert peak < n * n_labels * 8 / 4
+
+    @pytest.mark.parametrize("head,out_dim", [("fc", 20), ("hrr", 32)])
+    def test_validation_p1_matches_old_loop_with_unlabelled_example(self, head, out_dim):
+        ds = planted(128, seed=35)
+        val = planted(30, seed=36)
+        val.examples[4] = dataio.SparseExample(
+            val.examples[4].feat_idx, val.examples[4].feat_val, np.empty(0, np.int64)
+        )
+        space = lb.make_label_space(20, out_dim, seed=35) if head == "hrr" else None
+        model = tr.init_model(100, (8,), out_dim, head, seed=35)
+        model, stats = tr.train(
+            model, ds, tr.TrainConfig(epochs=1, seed=35), space=space, val_dataset=val
+        )
+        rankings = tr.predict_rankings(model, val, space=space, k=1)
+        assert stats[-1].val_p1 == old_val_p1(rankings, val)
+        assert stats[-1].val_p1 is not None
+
+    def test_validation_p1_is_none_without_labelled_examples(self):
+        ds = planted(64, seed=37)
+        val = planted(5, seed=38)
+        val.examples[:] = [
+            dataio.SparseExample(ex.feat_idx, ex.feat_val, np.empty(0, np.int64))
+            for ex in val.examples
+        ]
+        model = tr.init_model(100, (8,), 20, "fc", seed=37)
+        _, stats = tr.train(model, ds, tr.TrainConfig(epochs=1, seed=37), val_dataset=val)
+        assert stats[-1].val_p1 is None
 
 
 class TestParamCount:
