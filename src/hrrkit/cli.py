@@ -320,11 +320,6 @@ def _apply_config_file(parser, argv):
         parser.error("--config requires a path")
     path = argv[at + 1]
     rest = argv[:at] + argv[at + 2 :]
-    known = {
-        action.option_strings[-1].lstrip("-").replace("-", "_"): action
-        for action in parser._actions
-        if action.option_strings
-    }
     injected = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -335,9 +330,9 @@ def _apply_config_file(parser, argv):
             if not eq:
                 parser.error(f"{path}:{line_no}: expected key=value, got {line!r}")
             key = key.strip().replace("-", "_")
-            if key not in known:
+            if key not in parser.options:
                 parser.error(f"{path}:{line_no}: unknown config key {key!r}")
-            action = known[key]
+            action = parser.options[key]
             value = value.strip()
             if action.nargs == 0:  # boolean switch
                 if value.lower() in ("1", "true", "yes", "on"):
@@ -350,8 +345,22 @@ def _apply_config_file(parser, argv):
     return injected + rest
 
 
+class _Parser(argparse.ArgumentParser):
+    """Keeps each option's action under its config key, for --config."""
+
+    def __init__(self, *args, **kwargs):
+        self.options = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings:
+            self.options[action.option_strings[-1].lstrip("-").replace("-", "_")] = action
+        return action
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hrrkit",
         description="Binding-capacity benchmarks and dense-label multi-label training.",
     )

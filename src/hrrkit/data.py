@@ -137,11 +137,19 @@ def _ascending_within(values, counts):
     return bool(rises.all())
 
 
+def _line_sort(values, counts):
+    # Order sorting values inside each consecutive run of counts (stably),
+    # and the run of each value; only blocks with an unsorted line pay it.
+    line = np.repeat(np.arange(len(counts)), counts)
+    return np.lexsort((values, line)), line
+
+
 def _parse_block(lines, d, l, shift):
     """Examples of a block of lines, or None if any check fails.
 
-    Accepts only what _parse_line accepts, with labels and features already
-    in strictly ascending order, and returns the same arrays for it.
+    Accepts only what _parse_line accepts and returns the same arrays for
+    it: labels sorted and made unique, features sorted by index (a
+    duplicate feature index falls back to _parse_line for its error).
     """
     label_fields, tokens, n_labels, n_feats = [], [], [], []
     for line in lines:
@@ -169,10 +177,19 @@ def _parse_block(lines, d, l, shift):
         np.all((labels >= 0) & (labels < l))
         and np.all((idx >= 0) & (idx < d))
         and np.all(np.isfinite(val))
-        and _ascending_within(labels, n_labels)
-        and _ascending_within(idx, n_feats)
     ):
         return None
+    if not _ascending_within(labels, n_labels):
+        order, line = _line_sort(labels, n_labels)
+        labels = labels[order]
+        keep = np.ones(labels.size, dtype=bool)
+        keep[1:] = (np.diff(labels) != 0) | (np.diff(line) != 0)
+        labels, n_labels = labels[keep], np.bincount(line[keep], minlength=len(lines))
+    if not _ascending_within(idx, n_feats):
+        order, _ = _line_sort(idx, n_feats)
+        idx, val = idx[order], val[order]
+        if not _ascending_within(idx, n_feats):
+            return None
     lab_end = np.cumsum(n_labels).tolist()
     feat_end = np.cumsum(n_feats).tolist()
     return [

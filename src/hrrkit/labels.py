@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 _CLASS_BLOCK = 512  # classes regenerated per chunk when streaming
-_MERGE_CELLS = 16384  # scores per topk step (>= 16 columns); bounds its temporaries
+_MERGE_CELLS = 16384  # scores per topk step (>= 32 columns); bounds its temporaries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,8 +98,9 @@ class LabelSpace:
         rows = np.empty((indices.size, self.dim))
         for k, i in enumerate(indices):
             rng = np.random.Generator(np.random.PCG64(self.class_seed(int(i))))
-            rows[k] = rng.standard_normal(self.dim)
-        return core.project(rows / np.sqrt(self.dim), eps=0.0)
+            rng.standard_normal(out=rows[k])
+        rows /= np.sqrt(self.dim)
+        return core.project(rows, eps=0.0)
 
     def class_vector(self, index):
         return self.class_vectors([index])[0]
@@ -253,23 +254,38 @@ def topk(blocks, k):
     blocks yields (start, scores) pairs in ascending start, scores an (n, w)
     block of columns from start. Each step stably argsorts the kept winners
     and the next few columns; the winners have lower indices, so ties break
-    toward the lower index, as in one full stable argsort.
+    toward the lower index, as in one full stable argsort. Once a row holds
+    k winners, a column can enter only with a score strictly above the
+    row's k-th best, so a step merges only the rows where one does.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     best = index = None
     for start, block in blocks:
-        width = max(16, _MERGE_CELLS // (len(block) + 1))
+        width = max(32, _MERGE_CELLS // (len(block) + 1))
         for lo in range(0, block.shape[1], width):
             scores = block[:, lo : lo + width]
+            full = best is not None and best.shape[1] == k
+            rows = slice(None)
+            if full:
+                # NaN sorts last, so a NaN k-th best admits any other score
+                kth = best[:, -1]
+                rows = np.flatnonzero((scores > kth[:, None]).any(axis=1) | np.isnan(kth))
+                if not rows.size:
+                    continue
+                scores = scores[rows]
             cols = np.broadcast_to(np.arange(scores.shape[1]) + start + lo, scores.shape)
             if best is not None:
-                scores = np.concatenate([best, scores], axis=1)
-                cols = np.concatenate([index, cols], axis=1)
+                scores = np.concatenate([best[rows], scores], axis=1)
+                cols = np.concatenate([index[rows], cols], axis=1)
             order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-            best = np.take_along_axis(scores, order, axis=1)
-            index = np.take_along_axis(cols, order, axis=1)
-        del block  # so the producer's next block does not coexist with this one
+            top = np.take_along_axis(scores, order, axis=1), np.take_along_axis(cols, order, axis=1)
+            if full:
+                best[rows], index[rows] = top
+            else:
+                best, index = top
+        # views of the block die with it, before the producer makes the next
+        block = scores = None
     return index
 
 

@@ -96,6 +96,8 @@ class EpochStats:
     validation pass. examples_per_s counts training examples over the
     training batches' wall time. For the hrr head, j_p and j_n split
     mean_loss into its present-role and absent-role terms (None for fc).
+    grad_norm is the mean over the batches of the global L2 norm of the
+    loss gradient in every parameter, taken before the optimizer step.
     """
 
     epoch: int
@@ -110,6 +112,7 @@ class EpochStats:
     examples_per_s: float = 0.0
     j_p: float | None = None
     j_n: float | None = None
+    grad_norm: float = 0.0
 
 
 def init_model(n_features, hidden, out_dim, head, seed):
@@ -213,6 +216,12 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
     rows, x = _batch_values(batch)
     grads_w[0] = _RowGrad(rows, x.T @ delta)
     return grads_w, grads_b
+
+
+def _grad_norm(grads):
+    # A _RowGrad counts each touched row once; its other rows are zero.
+    parts = (g.values if isinstance(g, _RowGrad) else g for g in grads)
+    return float(np.sqrt(sum(np.vdot(g, g) for g in parts)))
 
 
 def _bce_rows(z, y):
@@ -356,7 +365,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
         started = time.perf_counter()
         order = shuffle_rng.permutation(dataset.n_examples)
         phases = np.zeros(4)  # forward, loss, backward, optimizer seconds
-        losses, splits = [], []
+        losses, splits, norms = [], [], []
         for lo in range(0, dataset.n_examples, config.batch_size):
             batch = [dataset.examples[i] for i in order[lo : lo + config.batch_size]]
             t0 = time.perf_counter()
@@ -375,6 +384,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
             losses.append(loss_value)
             splits.append(split)
             grads_w, grads_b = _backward_sparse(model, batch, acts, masks, grad_out)
+            norms.append(_grad_norm(grads_w + grads_b))
             t3 = time.perf_counter()
             opt.step(params, grads_w + grads_b)
             phases += (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
@@ -403,6 +413,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
                 examples_per_s=dataset.n_examples / train_s if train_s > 0 else 0.0,
                 j_p=j_p,
                 j_n=j_n,
+                grad_norm=float(np.mean(norms)) if norms else 0.0,
             )
         )
     return model, stats
@@ -459,14 +470,16 @@ def save_checkpoint(model, path, extra=None):
             fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
-def _read_exact(fh, count, path, section):
-    blob = fh.read(count)
-    if len(blob) != count:
+def _read_exact(fh, shape, dtype, path, section):
+    # Reads straight into a new array: a layer costs its own size once.
+    out = np.empty(shape, dtype=dtype)
+    got = fh.readinto(memoryview(out).cast("B"))
+    if got != out.nbytes:
         raise ValueError(
-            f"truncated checkpoint {path}: {section} needs {count} bytes, "
-            f"found {len(blob)}"
+            f"truncated checkpoint {path}: {section} needs {out.nbytes} bytes, "
+            f"found {got}"
         )
-    return blob
+    return out
 
 
 def load_checkpoint(path):
@@ -481,8 +494,8 @@ def load_checkpoint(path):
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<I", _read_exact(fh, 4, path, "header length"))
-        header = json.loads(_read_exact(fh, hlen, path, "header").decode("utf-8"))
+        hlen = int(_read_exact(fh, 1, "<u4", path, "header length")[0])
+        header = json.loads(_read_exact(fh, hlen, "u1", path, "header").tobytes())
         if header.get("format_version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {header.get('format_version')}"
@@ -490,11 +503,8 @@ def load_checkpoint(path):
         sizes = header["layer_sizes"]
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            w = _read_exact(fh, 8 * fan_in * fan_out, path, f"layer {i} weights")
-            w = np.frombuffer(w, dtype="<f8").reshape(fan_in, fan_out)
-            weights.append(w.astype(np.float64))
-            b = _read_exact(fh, 8 * fan_out, path, f"layer {i} bias")
-            biases.append(np.frombuffer(b, dtype="<f8").astype(np.float64))
+            weights.append(_read_exact(fh, (fan_in, fan_out), "<f8", path, f"layer {i} weights"))
+            biases.append(_read_exact(fh, fan_out, "<f8", path, f"layer {i} bias"))
         expected, actual = fh.tell(), os.fstat(fh.fileno()).st_size
         if actual != expected:
             raise ValueError(

@@ -90,6 +90,22 @@ class TestCapacityCommand:
             run_cli(["capacity", "--config", str(cfg), "--vsa", "hrr", "--dims", "25"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,text,message",
+        [
+            (["capacity", "--vsa", "hrr"], "# c\nepochs=1\n", "2: unknown config key 'epochs'"),
+            (["capacity", "--vsa", "hrr"], "trials\n", "1: expected key=value, got 'trials'"),
+            (["eval", "--data", "x"], "k=1\none-based=maybe\n", "2: one_based expects a boolean"),
+        ],
+    )
+    def test_config_errors_name_file_line_and_key(self, tmp_path, capsys, argv, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        with pytest.raises(SystemExit) as err:
+            run_cli([argv[0], "--config", str(cfg)] + argv[1:])
+        assert err.value.code == 2
+        assert f"error: {cfg}:{message}" in capsys.readouterr().err
+
     def test_config_boolean_switch(self, tmp_path):
         ds = dataio.synth_generate(12, 30, 4, labels_per_point=1, seed=10)
         shifted = dataio.SparseDataset(
@@ -209,6 +225,7 @@ class TestTrainEvalCommands:
             assert set(row) == {
                 "epoch", "mean_loss", "seconds", "val_p1", "forward_s", "loss_s",
                 "backward_s", "optimizer_s", "eval_s", "examples_per_s", "j_p", "j_n",
+                "grad_norm",
             }
             assert abs(row["j_p"] + row["j_n"] - row["mean_loss"]) <= 1e-12
 

@@ -189,6 +189,50 @@ class TestBlockParse:
             dataio.parse_xml_repo(text)
         assert str(got.value) == str(want.value) == f"line {bad + 1}: {message}"
 
+    @staticmethod
+    def reorder_lines(lines, how, seed=9):
+        """Lines with each label list and feature list reversed or shuffled;
+        shuffled lines also repeat one of their labels."""
+        rng = np.random.default_rng(seed)
+        out = [lines[0]]
+        for line in lines[1:]:
+            head, _, rest = line.partition(" ")
+            labels, feats = head.split(",") if head else [], rest.split()
+            if how == "reversed":
+                labels, feats = labels[::-1], feats[::-1]
+            else:
+                labels = list(rng.permutation(labels + labels[:1]))
+                feats = list(rng.permutation(feats))
+            out.append(" ".join([",".join(labels)] + feats))
+        return out
+
+    @pytest.mark.parametrize("how", ["reversed", "shuffled"])
+    def test_unsorted_lines_stay_on_the_block_path(self, how, monkeypatch):
+        lines = self.reorder_lines(block_test_lines(), how)
+        lines[300] = "5,5,5 9:0.5 3:1.0"  # duplicate labels only
+        lines[400] = " 2:1.0 1:2.0"  # no labels
+        calls = []
+        line_parser = dataio._parse_line
+        monkeypatch.setattr(
+            dataio, "_parse_line", lambda *a: calls.append(a[1]) or line_parser(*a)
+        )
+        self.assert_matches_reference("\n".join(lines) + "\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("how", ["reversed", "shuffled"])
+    def test_duplicate_feature_in_unsorted_third_block_names_its_line(self, how):
+        lines = self.reorder_lines(block_test_lines(), how)
+        bad = 1100
+        head, _, rest = lines[bad].partition(" ")
+        feats = rest.split()
+        lines[bad] = " ".join([head, feats[-1]] + feats)  # first and last share an index
+        text = "\n".join(lines) + "\n"
+        with pytest.raises(dataio.DatasetFormatError) as want:
+            reference_parse(text)
+        with pytest.raises(dataio.DatasetFormatError) as got:
+            dataio.parse_xml_repo(text)
+        assert str(got.value) == str(want.value) == f"line {bad + 1}: duplicate feature index"
+
     def test_extra_line_after_declared_count(self):
         lines = block_test_lines(n=600)
         text = "\n".join(lines) + "\n\n0 1:1.0\n"

@@ -1,5 +1,7 @@
 """Tests for the dense label encoding, query loss, and decoders."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,86 @@ class TestTopk:
             got = lb.topk(column_blocks(scores, [100, 100, 100, 50]), k)
             np.testing.assert_array_equal(got, stable_topk(scores, k))
             assert got.shape == (n, min(k, n_cols))
+
+    @staticmethod
+    def special_rows(n_cols=350):
+        """Rows with NaN, infinities, signed zeros and monotone runs."""
+        rng = np.random.default_rng(11)
+        normal = rng.standard_normal(n_cols)
+        return np.stack([
+            np.full(n_cols, np.nan),  # all NaN
+            np.r_[np.full(150, np.nan), normal[150:]],  # starts with NaN
+            np.r_[np.full(200, np.nan), np.full(n_cols - 200, -np.inf)],  # NaN, then -inf
+            np.r_[1.0, np.full(120, np.nan), 2.0, np.full(n_cols - 122, np.nan)],  # two finite
+            np.r_[normal[:3], np.full(n_cols - 3, -np.inf)],  # -inf tail
+            np.full(n_cols, -np.inf),
+            np.where(rng.random(n_cols) < 0.4, np.nan, normal),  # scattered NaN
+            np.where(rng.random(n_cols) < 0.1, np.inf, np.where(normal < -1, np.nan, normal)),
+            np.arange(n_cols, dtype=np.float64),  # strictly increasing: every column enters
+            -np.arange(n_cols, dtype=np.float64),
+            rng.choice([0.0, -0.0, 1.0], n_cols),  # signed zeros tie
+        ])
+
+    @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
+    @pytest.mark.parametrize(
+        "widths", [[100, 100, 100, 50], [1, 2, 64, 33, 7, 96, 147]], ids=["even", "uneven"]
+    )
+    def test_nan_infinities_and_increasing_rows_match_full_argsort(self, k, widths):
+        rows = self.special_rows()
+        # the rows together, each as a single row (the decode_topk shape), and
+        # tiled to 1100 rows, where each block takes several steps
+        for scores in [rows, *rows[:, None], np.tile(rows, (100, 1))]:
+            got = lb.topk(column_blocks(scores, widths), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
+
+    def test_increasing_rows_over_many_blocks(self):
+        scores = np.tile(np.arange(5000, dtype=np.float64), (3, 1))
+        scores[1] = np.sqrt(scores[1])
+        for k in (1, 5, 513):
+            got = lb.topk(column_blocks(scores, [512] * 9 + [392]), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_columns_that_cannot_enter_are_never_merged(self, tied, monkeypatch):
+        # a tie with the k-th best, or anything below it, leaves a full row
+        # as it is: only the first step, which fills the rows, sorts
+        n, n_cols, k = 40, 3000, 5
+        row = np.zeros(n_cols) if tied else -np.arange(n_cols, dtype=np.float64)
+        scores = np.tile(row, (n, 1))
+        want = stable_topk(scores, k)
+        sorted_rows = []
+        argsort = np.argsort
+        monkeypatch.setattr(
+            np, "argsort", lambda a, **kw: sorted_rows.append(len(a)) or argsort(a, **kw)
+        )
+        got = lb.topk(column_blocks(scores, [512] * 5 + [440]), k)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, want)
+        assert sorted_rows == [n]
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_each_block_is_released_before_the_next_is_made(self, tied):
+        # a step that merges nothing must not keep a view of its block alive
+        rng = np.random.default_rng(12)
+        scores = np.zeros((300, 2000)) if tied else rng.standard_normal((300, 2000))
+        alive = []
+
+        def fresh_blocks():
+            for start in range(0, 2000, 500):
+                block = scores[:, start : start + 500].copy()
+                ref = weakref.ref(block)
+                yield start, block
+                del block
+                alive.append(ref() is not None)
+
+        np.testing.assert_array_equal(lb.topk(fresh_blocks(), 5), stable_topk(scores, 5))
+        assert alive == [False] * 4
+
+    def test_empty_blocks_are_skipped(self):
+        scores = np.random.default_rng(13).standard_normal((6, 45))
+        for k in (1, 5, 50):
+            got = lb.topk(column_blocks(scores, [0, 5, 0, 40, 0]), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
 
     def test_uneven_and_narrow_blocks(self):
         rng = np.random.default_rng(3)

@@ -9,6 +9,7 @@ from hrrkit import core
 from hrrkit import data as dataio
 from hrrkit import labels as lb
 from hrrkit import trainer as tr
+from hrrkit.seeds import mix64
 
 
 def dense_forward(model, x):
@@ -390,6 +391,27 @@ class TestTraining:
             else:
                 assert s.j_p is None and s.j_n is None
 
+    @pytest.mark.parametrize("head,out_dim", [("fc", 20), ("hrr", 32)])
+    def test_grad_norm_is_the_mean_dense_gradient_norm(self, head, out_dim):
+        # lr=0 keeps the weights fixed, so each batch's gradient can be
+        # taken again here, scattered to dense, from the same shuffle
+        ds = planted(80, seed=27)
+        space = lb.make_label_space(20, out_dim, seed=12) if head == "hrr" else None
+        model = tr.init_model(100, (8,), out_dim, head, seed=12)
+        config = tr.TrainConfig(epochs=1, batch_size=32, lr=0.0, seed=12)
+        _, stats = tr.train(model, ds, config, space=space)
+        order = np.random.Generator(np.random.PCG64(mix64(12, 0xE90C))).permutation(80)
+        norms = []
+        for lo in range(0, 80, 32):
+            batch = [ds.examples[i] for i in order[lo : lo + 32]]
+            out, acts, masks = tr._forward_sparse(model, batch)
+            _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
+            grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
+            flat = np.concatenate([g.ravel() for g in dense_w1_grad(model, grads_w) + grads_b])
+            norms.append(np.linalg.norm(flat))
+        assert len(norms) == 3 and min(norms) > 0.0
+        assert stats[0].grad_norm == pytest.approx(np.mean(norms), rel=1e-12)
+
 
 def dense_rankings(model, dataset, space=None, k=5):
     """The dense (n x L) score matrix and full stable argsort that
@@ -585,6 +607,23 @@ class TestCheckpoint:
             with pytest.raises(ValueError) as info:
                 tr.load_checkpoint(short)
             assert str(info.value) == message
+
+    def test_load_peaks_near_the_weight_bytes(self, tmp_path):
+        # each layer is read straight into its array, not into bytes first
+        model = tr.init_model(2000, (256,), 64, "hrr", seed=4)
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(model, path)
+        weight_bytes = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loaded, _ = tr.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert model_params_bytes(loaded) == model_params_bytes(model)
+        assert peak < 1.25 * weight_bytes
 
     def test_trailing_byte_names_path_and_sizes(self, tmp_path):
         path = tmp_path / "model.ckpt"
