@@ -12,11 +12,20 @@ grid point at which the pooled error fraction first exceeds the threshold
 t (the breaking point). When even the smallest tested n exceeds t the
 capacity is that smallest n, which keeps hopeless configurations plottable
 on a log axis instead of reporting zero.
+
+For the two HRR kinds a trial never leaves the frequency domain: symbols
+are drawn as half spectra, the statement is the sum of their products,
+unbinding multiplies by the conjugate (projected) or divides by the key
+spectrum (naive), and cosines are dot products of Parseval rows
+(core.parseval_rows). `predicted_error` is the crosstalk model that the
+projected kind's Monte-Carlo estimates are checked against.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
+import time
 import warnings
 
 import numpy as np
@@ -34,6 +43,7 @@ __all__ = [
     "capacity_at_threshold",
     "capacity_curve",
     "capacity_sweep",
+    "predicted_error",
     "query_response_distribution",
     "retrieval_error_probability",
     "sqrt2_grid",
@@ -42,6 +52,10 @@ __all__ = [
 DEFAULT_THRESHOLD = 0.03
 DEFAULT_TRIALS = 10
 MIN_PAIRS = 8  # first point of the default sqrt(2) grid, round(sqrt(2) ** 6)
+# Key and value rows summed into a response statement per step; at d=256
+# one block is 4 MB of draws, where the n=65,536 batch would be 134 MB.
+_RESPONSE_BLOCK = 2048
+_QUADRATURE_POINTS = 80
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,6 +82,7 @@ class RetrievalErrorEstimate:
     p_error: float
     std: float
     per_trial_errors: tuple
+    seconds: float = dataclasses.field(default=0.0, compare=False)  # wall time, telemetry only
 
     def __post_init__(self):
         if not 0.0 <= self.p_error <= 1.0:
@@ -131,26 +146,33 @@ def _statement(kind, xs, ys):
     return core.bind_sum(xs, ys)
 
 
+def _unit(rows):
+    return rows / (np.linalg.norm(rows, axis=1, keepdims=True) + core.COSINE_EPS)
+
+
+def _trial_errors(kind, d, n, base):
+    # Items whose best distractor is strictly more similar than the true value.
+    if kind in (VsaKind.HRR_NAIVE, VsaKind.HRR_PROJECTED):
+        unitary = kind is VsaKind.HRR_PROJECTED
+        xs, ys, zs = (next(core.sample_spectra(d, mix64(base, i), n, unitary)) for i in range(3))
+        s = (xs * ys).sum(axis=0)
+        xhat = core.unbind_spectra(s, ys, exact=not unitary)
+        xs, xhat, zs = (core.parseval_rows(v, d) for v in (xs, xhat, zs))
+    else:
+        xs, ys, zs = (vsa_sample(kind, d, mix64(base, i), count=n) for i in range(3))
+        xhat = vsa_unbind(kind, _statement(kind, xs, ys), ys)
+    xhat = _unit(xhat)
+    true_sim = np.sum(xhat * _unit(xs), axis=1)
+    best_distractor = (xhat @ _unit(zs).T).max(axis=1)
+    return int(np.count_nonzero(best_distractor > true_sim))
+
+
 def retrieval_error_probability(cfg):
     """Estimate the per-item retrieval error rate for one (kind, d, n) cell."""
+    started = time.perf_counter()
     kind = VsaKind(cfg.kind)
     n, d = cfg.n, cfg.d
-    errors = []
-    for trial in range(cfg.trials):
-        base = mix64(cfg.seed, trial)
-        xs = vsa_sample(kind, d, mix64(base, 0), count=n)
-        ys = vsa_sample(kind, d, mix64(base, 1), count=n)
-        zs = vsa_sample(kind, d, mix64(base, 2), count=n)
-        s = _statement(kind, xs, ys)
-        xhat = vsa_unbind(kind, s, ys)
-        xhat_n = xhat / (np.linalg.norm(xhat, axis=1, keepdims=True) + core.COSINE_EPS)
-        true_sim = np.sum(
-            xhat_n * xs / (np.linalg.norm(xs, axis=1, keepdims=True) + core.COSINE_EPS),
-            axis=1,
-        )
-        zs_n = zs / (np.linalg.norm(zs, axis=1, keepdims=True) + core.COSINE_EPS)
-        best_distractor = (xhat_n @ zs_n.T).max(axis=1)
-        errors.append(int(np.count_nonzero(best_distractor > true_sim)))
+    errors = [_trial_errors(kind, d, n, mix64(cfg.seed, trial)) for trial in range(cfg.trials)]
     per_trial = np.asarray(errors, dtype=np.float64) / n
     std = float(per_trial.std(ddof=1)) if cfg.trials > 1 else 0.0
     return RetrievalErrorEstimate(
@@ -161,7 +183,29 @@ def retrieval_error_probability(cfg):
         p_error=float(sum(errors)) / (n * cfg.trials),
         std=std,
         per_trial_errors=tuple(errors),
+        seconds=time.perf_counter() - started,
     )
+
+
+def predicted_error(d, n):
+    """Crosstalk-model retrieval error of projected HRR with n pairs in R^d.
+
+    Unbinding a key returns its value plus the crosstalk of the other n - 1
+    pairs, so the true value responds 1 + t with t ~ N(0, (n - 1) / d),
+    while each of the n distractors responds N(0, n / d), independently
+    (Plate 1995; Frady, Kleyko & Sommer 2018). An item is an error when a
+    distractor responds more:
+
+        p = 1 - E_t[Phi((1 + t) / sqrt(n / d)) ** n],
+
+    with the expectation taken by 80-point Gauss-Hermite quadrature.
+    """
+    if d < 1 or n < 1:
+        raise ValueError(f"need d >= 1 and n >= 1, got d={d}, n={n}")
+    nodes, weights = np.polynomial.hermite.hermgauss(_QUADRATURE_POINTS)
+    z = (1.0 + math.sqrt(2.0 * (n - 1) / d) * nodes) / math.sqrt(n / d)
+    phi = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in z])
+    return min(1.0, max(0.0, 1.0 - float(weights @ phi**n) / math.sqrt(math.pi)))
 
 
 def capacity_sweep(
@@ -253,18 +297,10 @@ def query_response_distribution(
             raise ValueError(f"{name} must be >= 1, got {value}")
     out = []
     for n in n_values:
-        present, absent = [], []
         q = min(int(n), max_queries)
-        for trial in range(trials):
-            base = mix64(seed, n, trial)
-            xs = vsa_sample(kind, d, mix64(base, 0), count=n)
-            ys = vsa_sample(kind, d, mix64(base, 1), count=n)
-            s = _statement(kind, xs, ys)
-            fresh = vsa_sample(kind, d, mix64(base, 2), count=2 * q)
-            present.append(np.sum(xs[:q] * vsa_unbind(kind, s, ys[:q]), axis=1))
-            absent.append(np.sum(fresh[:q] * vsa_unbind(kind, s, fresh[q:]), axis=1))
-        present = np.concatenate(present)
-        absent = np.concatenate(absent)
+        draws = [_responses(kind, d, int(n), q, mix64(seed, n, trial)) for trial in range(trials)]
+        present = np.concatenate([p for p, _ in draws])
+        absent = np.concatenate([a for _, a in draws])
         out.append(
             ResponseStats(
                 n=int(n),
@@ -275,3 +311,27 @@ def query_response_distribution(
             )
         )
     return out
+
+
+def _responses(kind, d, n, q, base):
+    # The statement is summed over row blocks of at least q rows, so the q
+    # present queries all come from the first block; the draws are the
+    # same rows as one batch draw per generator.
+    unitary = kind is VsaKind.HRR_PROJECTED
+    block = max(_RESPONSE_BLOCK, q)
+    blocks = (core.sample_spectra(d, mix64(base, i), n, unitary, block) for i in (0, 1))
+    s, queries = 0.0, None
+    for xs, ys in zip(*blocks):
+        if queries is None:
+            queries = xs[:q].copy(), ys[:q].copy()
+        xs *= ys
+        s += xs.sum(axis=0)
+        del xs, ys  # freed before the generators draw the next blocks
+    fresh = next(core.sample_spectra(d, mix64(base, 2), 2 * q, unitary))
+    present = _dots(queries[0], core.unbind_spectra(s, queries[1], exact=not unitary), d)
+    absent = _dots(fresh[:q], core.unbind_spectra(s, fresh[q:], exact=not unitary), d)
+    return present, absent
+
+
+def _dots(xs, ys, d):
+    return np.sum(core.parseval_rows(xs, d) * core.parseval_rows(ys, d), axis=1)

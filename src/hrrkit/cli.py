@@ -15,6 +15,7 @@ import dataclasses
 import io
 import json
 import sys
+import time
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import labels as labelcodec
 from . import metrics as metricsmod
 from . import trainer as trainermod
 from .capacity import MIN_PAIRS, ResponseStats, capacity_sweep
-from .capacity import query_response_distribution
+from .capacity import predicted_error, query_response_distribution
 from .vsa import VsaKind
 
 _EXIT_USAGE = 2
@@ -69,6 +70,14 @@ def _write_out(text, out_path):
         sys.stdout.write(text)
 
 
+def _write_stats(path, manifest, rows):
+    # Telemetry (timings, model predictions) goes here, never into results.
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"manifest": manifest}, sort_keys=True) + "\n")
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def _int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok]
 
@@ -98,7 +107,15 @@ def _capacity_cell(job):
         for est in estimates
         for trial, errors in enumerate(est.per_trial_errors)
     ]
-    return kind_value, d, capacity, saturated, rows
+    return kind_value, d, capacity, saturated, rows, estimates
+
+
+def _cell_stats(est):
+    row = {"kind": est.kind.value, "d": est.d, "n": est.n, "trials": est.trials,
+           "seconds": est.seconds, "p_error": est.p_error}
+    if est.kind is VsaKind.HRR_PROJECTED:
+        row["predicted_p_error"] = predicted_error(est.d, est.n)
+    return row
 
 
 def cmd_capacity(args):
@@ -121,6 +138,8 @@ def cmd_capacity(args):
     results.sort(key=lambda r: (order[r[0]], r[1]))
 
     manifest = _manifest("capacity", args)
+    if args.stats:
+        _write_stats(args.stats, manifest, [_cell_stats(est) for r in results for est in r[5]])
     if args.format == "json":
         payload = {
             "manifest": manifest,
@@ -131,7 +150,7 @@ def cmd_capacity(args):
             ],
             "capacities": [
                 {"kind": kind, "d": d, "capacity": cap, "saturated": sat}
-                for kind, d, cap, sat, _ in results
+                for kind, d, cap, sat, _, _ in results
             ],
         }
         _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
@@ -139,7 +158,7 @@ def cmd_capacity(args):
     buf = io.StringIO()
     buf.write(_manifest_comments(manifest))
     buf.write("record,kind,d,n,trial,errors,p_error,capacity\n")
-    for kind, d, cap, sat, rows in results:
+    for kind, d, cap, sat, rows, _ in results:
         for row_kind, row_d, n, trial, errors, p in rows:
             buf.write(f"trial,{row_kind},{row_d},{n},{trial},{errors},{p!r},\n")
         buf.write(f"capacity,{kind},{d},,,,,{cap}\n")
@@ -158,15 +177,22 @@ def cmd_response(args):
     while n <= args.n_max:
         n_values.append(n)
         n *= 2
-    stats = query_response_distribution(
-        args.dim,
-        n_values,
-        trials=args.trials,
-        seed=args.seed,
-        kind=VsaKind(args.kind),
-        max_queries=args.queries,
-    )
+    # One call per n: each n's draws depend only on the seed, n and trial.
+    stats, timings = [], []
+    for n in n_values:
+        started = time.perf_counter()
+        stats += query_response_distribution(
+            args.dim,
+            [n],
+            trials=args.trials,
+            seed=args.seed,
+            kind=VsaKind(args.kind),
+            max_queries=args.queries,
+        )
+        timings.append({"n": n, "seconds": time.perf_counter() - started})
     manifest = _manifest("response", args)
+    if args.stats:
+        _write_stats(args.stats, manifest, timings)
     if args.format == "json":
         payload = {
             "manifest": manifest,
@@ -223,10 +249,7 @@ def cmd_train(args):
     }
     trainermod.save_checkpoint(model, args.out, extra=meta)
     stats_path = args.stats or (args.out + ".stats.jsonl")
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"manifest": _manifest("train", args)}, sort_keys=True) + "\n")
-        for s in stats:
-            fh.write(json.dumps(dataclasses.asdict(s), sort_keys=True) + "\n")
+    _write_stats(stats_path, _manifest("train", args), map(dataclasses.asdict, stats))
     return 0
 
 
@@ -379,6 +402,8 @@ def build_parser():
     cap.add_argument("--jobs", type=int, default=1)
     cap.add_argument("--format", choices=("csv", "json"), default="csv")
     cap.add_argument("--out", default=None)
+    cap.add_argument("--stats", default=None,
+                     help="JSON-lines path: seconds per (kind, d, n), predicted p_error")
     cap.add_argument("--config", default=None, help="key=value defaults file")
     cap.set_defaults(func=cmd_capacity)
 
@@ -392,6 +417,7 @@ def build_parser():
     resp.add_argument("--queries", type=int, default=256)
     resp.add_argument("--format", choices=("csv", "json"), default="csv")
     resp.add_argument("--out", default=None)
+    resp.add_argument("--stats", default=None, help="JSON-lines path: seconds per n")
     resp.add_argument("--config", default=None)
     resp.set_defaults(func=cmd_response)
 

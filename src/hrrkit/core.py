@@ -8,6 +8,11 @@ for unitary vectors (unit-magnitude spectrum).
 The spectral projection produces such unitary vectors and is the stability
 fix everything else in this package leans on.
 
+Batched work that can stay in the frequency domain (the capacity trials)
+uses the half-spectrum primitives: `sample_spectra` draws symbols as half
+spectra, `unbind_spectra` unbinds there, and `parseval_rows` turns half
+spectra into real rows whose dot products are the time-domain ones.
+
 All functions are pure and accept arrays with extra leading axes, operating
 on the last axis, so callers can batch rows through a single FFT. This is
 the only module that calls np.fft.
@@ -25,11 +30,14 @@ __all__ = [
     "cosine_similarity",
     "delta",
     "exact_inverse",
+    "parseval_rows",
     "project",
     "pseudo_inverse",
+    "sample_spectra",
     "sample_standard",
     "sample_unitary",
     "unbind",
+    "unbind_spectra",
 ]
 
 PROJECT_EPS = 1e-5  # guard added to spectral magnitudes in project()
@@ -100,6 +108,20 @@ def bind_sum(a, b):
     return _irfft(_spectral_product(a, b).sum(axis=0), np.shape(a)[-1])
 
 
+def _check_invertible(spec, floor):
+    # Refuses a spectrum with any bin at or below the floor, naming the bin
+    # and, for a batch, the row of the smallest such bin.
+    mags = np.abs(spec)
+    if mags.size and mags.min() <= floor:
+        *row, j = (int(i) for i in np.unravel_index(np.argmin(mags), mags.shape))
+        where = f" of row {row[0] if len(row) == 1 else tuple(row)}" if row else ""
+        raise SpectralInverseError(
+            f"spectral bin {j}{where} has magnitude {mags.min():.3e} <= "
+            f"{floor:g}; exact inverse is unstable"
+        )
+    return spec
+
+
 def exact_inverse(a, floor=INVERSE_FLOOR):
     """Exact convolution inverse: reciprocal of each spectral coefficient.
 
@@ -110,16 +132,7 @@ def exact_inverse(a, floor=INVERSE_FLOOR):
     unitary vectors this equals pseudo_inverse().
     """
     a = _check_vector(a, "a")
-    spec = np.fft.rfft(a)
-    mags = np.abs(spec)
-    if mags.size and mags.min() <= floor:
-        *row, j = (int(i) for i in np.unravel_index(np.argmin(mags), mags.shape))
-        where = f" of row {row[0] if len(row) == 1 else tuple(row)}" if row else ""
-        raise SpectralInverseError(
-            f"spectral bin {j}{where} has magnitude {mags.min():.3e} <= "
-            f"{floor:g}; exact inverse is unstable"
-        )
-    return _irfft(1.0 / spec, a.shape[-1])
+    return _irfft(1.0 / _check_invertible(np.fft.rfft(a), floor), a.shape[-1])
 
 
 def pseudo_inverse(a):
@@ -136,6 +149,19 @@ def pseudo_inverse(a):
 def unbind(s, y):
     """Recover the partner bound with y inside s: bind(s, pseudo_inverse(y))."""
     return bind(s, pseudo_inverse(y))
+
+
+def unbind_spectra(s, y, exact=False):
+    """unbind() on half spectra: s * conj(y), or s / y with `exact`.
+
+    s and y are half spectra (as from sample_spectra) and broadcast against
+    each other. With `exact` the key is inverted exactly, as by
+    exact_inverse(), and a key bin at or below INVERSE_FLOOR raises the same
+    SpectralInverseError naming the bin and row.
+    """
+    if exact:
+        return s / _check_invertible(y, INVERSE_FLOOR)
+    return s * np.conj(y)
 
 
 def bind_adjoint(g, b):
@@ -161,6 +187,19 @@ def project(x, eps=PROJECT_EPS):
     return _irfft(spec, x.shape[-1])
 
 
+def _gaussian_rows(rng, shape, d):
+    # N(0, 1/d) entries, scaled in place: the same values as draw / sqrt(d).
+    rows = rng.standard_normal(shape)
+    rows /= np.sqrt(d)
+    return rows
+
+
+def _generator(d, seed):
+    if d < 2:
+        raise ValueError(f"dimension must be >= 2, got {d}")
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def sample_standard(d, seed, count=None):
     """Gaussian symbol vector with i.i.d. N(0, 1/d) entries.
 
@@ -168,10 +207,46 @@ def sample_standard(d, seed, count=None):
     first row equals the single draw for the same seed.
     """
     d = int(d)
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal(d if count is None else (int(count), d)) / np.sqrt(d)
+    rng = _generator(d, seed)
+    return _gaussian_rows(rng, d if count is None else (int(count), d), d)
+
+
+def sample_spectra(d, seed, count, unitary=False, block=None):
+    """Half spectra of the rows of sample_standard(d, seed, count), in blocks.
+
+    Yields rfft() of consecutive blocks of at most `block` rows (one block
+    of all rows by default). The blocks come from one generator and
+    together are exactly the rows of the single batch draw. With `unitary`
+    every bin is divided by its magnitude: the spectra of sample_unitary()'s
+    rows, never taken back to the time domain.
+    """
+    d, count = int(d), int(count)
+    rng = _generator(d, seed)
+    block = count if block is None else int(block)
+    for start in range(0, count, block):
+        spec = np.fft.rfft(_gaussian_rows(rng, (min(block, count - start), d), d))
+        if unitary:
+            spec /= np.abs(spec)
+        yield spec
+
+
+def parseval_rows(spec, d):
+    """Real rows whose dot products equal those of the signals irfft(spec, d).
+
+    Each half-spectrum bin becomes its (re, im) pair scaled by sqrt(w / d),
+    with w = 2 for bins that stand for a conjugate pair and w = 1 for the DC
+    bin and, when d is even, the Nyquist bin; the imaginary parts of those
+    two bins get weight 0, as irfft discards them. Rows have width
+    2 * (d // 2 + 1), which is d + 2 for even d and d + 1 for odd d.
+    """
+    spec = np.ascontiguousarray(spec, dtype=np.complex128)
+    if spec.shape[-1] != d // 2 + 1:
+        raise ValueError(f"half spectrum of length {spec.shape[-1]} does not fit d={d}")
+    weight = np.full((spec.shape[-1], 2), 2.0 / d)
+    weight[0] = (1.0 / d, 0.0)
+    if d % 2 == 0:
+        weight[-1] = (1.0 / d, 0.0)
+    return spec.view(np.float64) * np.sqrt(weight).ravel()
 
 
 def sample_unitary(d, seed, count=None):

@@ -16,6 +16,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import json
+import math
 import os
 import struct
 import time
@@ -471,7 +472,15 @@ def save_checkpoint(model, path, extra=None):
 
 
 def _read_exact(fh, shape, dtype, path, section):
-    # Reads straight into a new array: a layer costs its own size once.
+    # Reads straight into a new array: a layer costs its own size once. The
+    # size is checked against the bytes left first, so a corrupt header
+    # cannot ask for an allocation the file could never fill.
+    need = math.prod(shape if isinstance(shape, tuple) else (shape,)) * np.dtype(dtype).itemsize
+    left = max(os.fstat(fh.fileno()).st_size - fh.tell(), 0)
+    if need > left:
+        raise ValueError(
+            f"truncated checkpoint {path}: {section} needs {need} bytes, found {left}"
+        )
     out = np.empty(shape, dtype=dtype)
     got = fh.readinto(memoryview(out).cast("B"))
     if got != out.nbytes:

@@ -1,5 +1,8 @@
 """Tests for the Monte-Carlo retrieval-error and response harness."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,12 @@ from hrrkit.capacity import (
     capacity_at_threshold,
     capacity_curve,
     capacity_sweep,
+    predicted_error,
     query_response_distribution,
     retrieval_error_probability,
     sqrt2_grid,
 )
+from hrrkit.seeds import mix64
 from hrrkit.vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 
@@ -191,3 +196,182 @@ class TestResponses:
         args = {"d": 64, "n_values": [4, 8], **kwargs}
         with pytest.raises(ValueError, match=message):
             query_response_distribution(**args)
+
+
+# Time-domain reference: the trial and response loop as they were before
+# trials moved to the frequency domain (every symbol drawn in the time
+# domain, the statement formed by bind_sum, unbinding by vsa_unbind).
+
+
+def reference_trial_errors(cfg):
+    kind, n, d = VsaKind(cfg.kind), cfg.n, cfg.d
+    errors = []
+    for trial in range(cfg.trials):
+        base = mix64(cfg.seed, trial)
+        xs = vsa_sample(kind, d, mix64(base, 0), count=n)
+        ys = vsa_sample(kind, d, mix64(base, 1), count=n)
+        zs = vsa_sample(kind, d, mix64(base, 2), count=n)
+        s = core.bind_sum(xs, ys)
+        xhat = vsa_unbind(kind, s, ys)
+        xhat_n = xhat / (np.linalg.norm(xhat, axis=1, keepdims=True) + core.COSINE_EPS)
+        true_sim = np.sum(
+            xhat_n * xs / (np.linalg.norm(xs, axis=1, keepdims=True) + core.COSINE_EPS),
+            axis=1,
+        )
+        zs_n = zs / (np.linalg.norm(zs, axis=1, keepdims=True) + core.COSINE_EPS)
+        best_distractor = (xhat_n @ zs_n.T).max(axis=1)
+        errors.append(int(np.count_nonzero(best_distractor > true_sim)))
+    return tuple(errors)
+
+
+def reference_responses(d, n_values, trials, seed, kind, max_queries):
+    out = []
+    for n in n_values:
+        present, absent = [], []
+        q = min(int(n), max_queries)
+        for trial in range(trials):
+            base = mix64(seed, n, trial)
+            xs = vsa_sample(kind, d, mix64(base, 0), count=n)
+            ys = vsa_sample(kind, d, mix64(base, 1), count=n)
+            s = core.bind_sum(xs, ys)
+            fresh = vsa_sample(kind, d, mix64(base, 2), count=2 * q)
+            present.append(np.sum(xs[:q] * vsa_unbind(kind, s, ys[:q]), axis=1))
+            absent.append(np.sum(fresh[:q] * vsa_unbind(kind, s, fresh[q:]), axis=1))
+        present, absent = np.concatenate(present), np.concatenate(absent)
+        out.append((present.mean(), present.std(), absent.mean(), absent.std()))
+    return out
+
+
+HRR_KINDS = [VsaKind.HRR_NAIVE, VsaKind.HRR_PROJECTED]
+BLOCK = capacity._RESPONSE_BLOCK
+
+
+class TestSpectralTrials:
+    @pytest.mark.parametrize("kind", HRR_KINDS)
+    @pytest.mark.parametrize("d", [121, 256, 1024])  # 121 is odd: no Nyquist bin
+    def test_error_counts_equal_the_time_domain_trial(self, kind, d):
+        for n in (1, 8, 45, 128):
+            for seed in range(3):
+                cfg = CapacityTrialConfig(kind=kind, d=d, n=n, trials=3, seed=seed)
+                got = retrieval_error_probability(cfg).per_trial_errors
+                assert got == reference_trial_errors(cfg), (n, seed)
+
+    @pytest.mark.parametrize("kind", HRR_KINDS)
+    @pytest.mark.parametrize(
+        "n_values, max_queries",
+        [
+            ([1, 255, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 5], 256),
+            # more queries than a block holds: the first block grows to q rows
+            ([3 * BLOCK + 5], BLOCK + 3),
+        ],
+    )
+    def test_response_stats_equal_the_time_domain_loop(self, kind, n_values, max_queries):
+        got = query_response_distribution(
+            64, n_values, trials=2, seed=5, kind=kind, max_queries=max_queries
+        )
+        want = reference_responses(64, n_values, 2, 5, kind, max_queries)
+        assert [s.n for s in got] == n_values
+        for stats, ref in zip(got, want):
+            values = (stats.mean_present, stats.std_present, stats.mean_absent, stats.std_absent)
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def zero_bin_sampler(monkeypatch, key_seed, row, bin_):
+        sample = core.sample_spectra
+
+        def patched(d, seed, count, unitary=False, block=None):
+            start = 0
+            for spec in sample(d, seed, count, unitary, block):
+                if seed == key_seed and start <= row < start + len(spec):
+                    spec[row - start, bin_] = 0.0
+                start += len(spec)
+                yield spec
+
+        monkeypatch.setattr(core, "sample_spectra", patched)
+
+    def test_naive_trial_names_the_zero_bin_and_row(self, monkeypatch):
+        cfg = CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=2, seed=9)
+        keys = mix64(mix64(cfg.seed, 1), 1)  # trial 1's keys
+        self.zero_bin_sampler(monkeypatch, keys, row=13, bin_=5)
+        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
+            retrieval_error_probability(cfg)
+
+    def test_naive_response_names_the_zero_bin_and_row(self, monkeypatch):
+        n = BLOCK + 40
+        keys = mix64(mix64(3, n, 0), 1)
+        self.zero_bin_sampler(monkeypatch, keys, row=7, bin_=32)  # 32: Nyquist at d=64
+        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 32 of row 7 "):
+            query_response_distribution(64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE)
+
+    def test_naive_response_inverts_only_the_queried_keys(self, monkeypatch):
+        # As in the time-domain loop, only the first q keys are unbound.
+        n = BLOCK + 40
+        keys = mix64(mix64(3, n, 0), 1)
+        self.zero_bin_sampler(monkeypatch, keys, row=BLOCK + 1, bin_=5)
+        (stats,) = query_response_distribution(
+            64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE, max_queries=16
+        )
+        assert np.isfinite(stats.mean_present)
+
+    def test_response_memory_stays_below_a_quarter_of_one_batch(self):
+        # One 65,536 x 256 float64 batch is 134 MB; the statement is summed
+        # over row blocks, so the call peaks below 32 MB (the time-domain
+        # loop peaked at 540 MB under the same measurement).
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            query_response_distribution(256, [65536], trials=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6, peak
+
+
+class TestPredictedError:
+    def test_single_pair_is_one_gaussian_tail(self):
+        # With n = 1 there is no crosstalk: p = P(N(0, 1/d) > 1) = 1 - Phi(sqrt(d)).
+        for d in (4, 9, 16):
+            assert predicted_error(d, 1) == pytest.approx(
+                0.5 * math.erfc(math.sqrt(d / 2.0)), rel=1e-12
+            )
+
+    @pytest.mark.parametrize("d, n", [(256, 32), (1024, 181), (64, 40)])
+    def test_quadrature_matches_sampling_the_model(self, d, n):
+        rng = np.random.default_rng(11)
+        draws = 20000
+        true = 1.0 + rng.standard_normal(draws) * math.sqrt((n - 1) / d)
+        best = rng.standard_normal((draws, n)).max(axis=1) * math.sqrt(n / d)
+        p_sampled = float(np.mean(best > true))
+        p = predicted_error(d, n)
+        assert abs(p_sampled - p) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+    def test_rejects_empty_cells(self):
+        with pytest.raises(ValueError):
+            predicted_error(256, 0)
+
+    # Band stated before measuring: Monte Carlo within three binomial
+    # standard errors of the model plus 0.03 for the model's simplifications
+    # (Gaussian, independent responses; cosines rather than dot products).
+    MODEL_BAND = 0.03
+
+    @pytest.mark.parametrize(
+        "d, n", [(256, 32), (256, 45), (256, 64), (256, 91), (1024, 91), (1024, 128), (1024, 256)]
+    )
+    def test_monte_carlo_agrees_with_the_model(self, d, n):
+        trials = 10
+        est = retrieval_error_probability(
+            CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=d, n=n, trials=trials, seed=3)
+        )
+        p = predicted_error(d, n)
+        binomial = 3 * math.sqrt(p * (1 - p) / (n * trials))
+        assert abs(est.p_error - p) <= binomial + self.MODEL_BAND, (est.p_error, p)
+
+    @pytest.mark.parametrize("d, n", [(256, 11), (256, 16), (1024, 32), (1024, 45)])
+    def test_model_is_conservative_near_the_knee(self, d, n):
+        trials = 10
+        est = retrieval_error_probability(
+            CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=d, n=n, trials=trials, seed=3)
+        )
+        p = predicted_error(d, n)
+        assert est.p_error <= p + 3 * math.sqrt(p * (1 - p) / (n * trials)), (est.p_error, p)

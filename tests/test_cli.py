@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line runner."""
 
 import contextlib
+import dataclasses
 import json
 import signal
 
@@ -9,11 +10,22 @@ import pytest
 
 from hrrkit import data as dataio
 from hrrkit import trainer as tr
+from hrrkit.capacity import predicted_error, query_response_distribution
 from hrrkit.cli import main
 
 
 def run_cli(args):
     return main(list(args))
+
+
+def inflate_layer_sizes(path, sizes):
+    """Rewrite a checkpoint's header to claim other layer sizes, payload unchanged."""
+    blob = path.read_bytes()
+    hlen = int.from_bytes(blob[8:12], "little")
+    header = json.loads(blob[12 : 12 + hlen])
+    header["layer_sizes"] = sizes
+    text = json.dumps(header).encode()
+    path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen :])
 
 
 def write_synth(tmp_path, name, n, seed, noise=0.05):
@@ -127,6 +139,50 @@ class TestCapacityCommand:
         ]) == 0
 
 
+class TestStatsOutput:
+    """--stats writes telemetry beside the results and leaves their bytes alone."""
+
+    @staticmethod
+    def run_twice(tmp_path, flags):
+        plain, with_stats, stats = tmp_path / "a.out", tmp_path / "b.out", tmp_path / "s.jsonl"
+        assert run_cli(flags + ["--out", str(plain)]) == 0
+        assert run_cli(flags + ["--out", str(with_stats), "--stats", str(stats)]) == 0
+        assert plain.read_bytes() == with_stats.read_bytes()
+        lines = [json.loads(line) for line in stats.read_text().splitlines()]
+        assert lines[0]["manifest"]["subcommand"] == flags[0]
+        return json.loads(plain.read_text()), lines[1:]
+
+    def test_capacity_stats_per_cell_with_prediction(self, tmp_path):
+        payload, rows = self.run_twice(tmp_path, [
+            "capacity", "--vsa", "hrr,hrr-proj", "--dims", "121,256", "--trials", "2",
+            "--n-max", "32", "--seed", "4", "--format", "json",
+        ])
+        cells = {}
+        for t in payload["trials"]:
+            cells.setdefault((t["kind"], t["d"], t["n"]), []).append(t["errors"])
+        assert [(r["kind"], r["d"], r["n"]) for r in rows] == list(cells)
+        for row in rows:
+            errors = cells[(row["kind"], row["d"], row["n"])]
+            assert row["trials"] == len(errors) == 2
+            assert row["p_error"] == sum(errors) / (row["n"] * 2)
+            assert row["seconds"] >= 0.0
+            if row["kind"] == "hrr-proj":
+                assert row["predicted_p_error"] == predicted_error(row["d"], row["n"])
+            else:
+                assert "predicted_p_error" not in row
+
+    def test_response_stats_per_n(self, tmp_path):
+        payload, rows = self.run_twice(tmp_path, [
+            "response", "--dim", "64", "--n-min", "4", "--n-max", "16", "--trials", "2",
+            "--seed", "9", "--format", "json",
+        ])
+        assert [r["n"] for r in rows] == [4, 8, 16]
+        assert all(set(r) == {"n", "seconds"} for r in rows)
+        # One call per n gives the rows of one call over all of them.
+        want = query_response_distribution(64, [4, 8, 16], trials=2, seed=9)
+        assert payload["rows"] == [dataclasses.asdict(s) for s in want]
+
+
 class TestResponseCommand:
     def test_csv_rows(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -205,6 +261,14 @@ class TestBadInput:
         ckpt.write_bytes(ckpt.read_bytes()[:10])
         assert run_cli(["eval", "--data", str(test_path), "--checkpoint", str(ckpt)]) == 2
         assert "header length needs 4 bytes, found 2" in capsys.readouterr().err
+
+    def test_checkpoint_header_claiming_huge_layers_exits_2(self, tmp_path, capsys):
+        test_path, _ = write_synth(tmp_path, "test.txt", 20, seed=2)
+        ckpt = tmp_path / "model.ckpt"
+        tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), ckpt)
+        inflate_layer_sizes(ckpt, [100_000, 100_000, 20])
+        assert run_cli(["eval", "--data", str(test_path), "--checkpoint", str(ckpt)]) == 2
+        assert "layer 0 weights needs 80000000000 bytes, found" in capsys.readouterr().err
 
 
 class TestTrainEvalCommands:

@@ -315,3 +315,79 @@ class TestRealFftAgainstReferences:
     def test_bind_sum_needs_a_leading_axis(self):
         with pytest.raises(ValueError, match="leading axis"):
             core.bind_sum(_gauss(8, 1), _gauss(8, 2))
+
+
+class TestHalfSpectra:
+    @pytest.mark.parametrize("count", [1, 5, 40])
+    def test_standard_draw_is_scaled_in_place_with_the_same_values(self, count):
+        # The batch equals draw / sqrt(d) bit for bit.
+        d = 64
+        rng = np.random.Generator(np.random.PCG64(21))
+        want = rng.standard_normal((count, d)) / np.sqrt(d)
+        np.testing.assert_array_equal(core.sample_standard(d, 21, count), want)
+
+    @pytest.mark.parametrize("d", [2, 121, 256])
+    @pytest.mark.parametrize("block", [None, 1, 3, 40, 45])
+    def test_blocks_are_the_spectra_of_one_batch_draw(self, d, block):
+        blocks = list(core.sample_spectra(d, 8, 40, block=block))
+        assert [len(b) for b in blocks][:-1] == [block or 40] * (len(blocks) - 1)
+        np.testing.assert_allclose(
+            np.concatenate(blocks), np.fft.rfft(core.sample_standard(d, 8, 40)), rtol=0, atol=1e-13
+        )
+
+    @pytest.mark.parametrize("d", [121, 256])
+    def test_unitary_blocks_are_the_spectra_of_sample_unitary(self, d):
+        spec = np.concatenate(list(core.sample_spectra(d, 8, 30, unitary=True, block=7)))
+        np.testing.assert_allclose(np.abs(spec), 1.0, atol=1e-14)
+        np.testing.assert_allclose(np.fft.irfft(spec, n=d), core.sample_unitary(d, 8, 30), atol=1e-14)
+
+    def test_spectra_reject_small_dimensions(self):
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            next(core.sample_spectra(1, 0, 4))
+
+    @pytest.mark.parametrize("d", [2, 3, 121, 256])
+    def test_parseval_rows_give_time_domain_dot_products(self, d):
+        a, b = core.sample_standard(d, 1, 6), core.sample_standard(d, 2, 6)
+        pa, pb = (core.parseval_rows(np.fft.rfft(v), d) for v in (a, b))
+        assert pa.shape == (6, 2 * (d // 2 + 1))
+        np.testing.assert_allclose(pa @ pb.T, a @ b.T, atol=1e-13)
+
+    def test_parseval_rows_ignore_what_irfft_discards(self):
+        # Imaginary DC and Nyquist parts are dropped by irfft, and weigh 0 here.
+        d = 8
+        spec = np.fft.rfft(core.sample_standard(d, 3, 2))
+        spec[:, 0] += 0.5j
+        spec[:, -1] -= 0.25j
+        rows = np.fft.irfft(spec, n=d)
+        p = core.parseval_rows(spec, d)
+        np.testing.assert_allclose(p @ p.T, rows @ rows.T, atol=1e-14)
+
+    def test_parseval_rows_check_the_spectrum_length(self):
+        with pytest.raises(ValueError, match="does not fit d=10"):
+            core.parseval_rows(np.zeros(5, dtype=complex), 10)
+
+    @pytest.mark.parametrize("d", [121, 256])
+    def test_unbind_spectra_match_time_domain_unbinding(self, d):
+        s, y = core.sample_standard(d, 4), core.sample_standard(d, 5, 3)
+        fs, fy = np.fft.rfft(s), np.fft.rfft(y)
+        np.testing.assert_allclose(
+            np.fft.irfft(core.unbind_spectra(fs, fy), n=d), core.unbind(s, y), atol=1e-13
+        )
+        np.testing.assert_allclose(
+            np.fft.irfft(core.unbind_spectra(fs, fy, exact=True), n=d),
+            core.bind(s, core.exact_inverse(y)),
+            atol=1e-10,
+        )
+
+    def test_exact_unbind_spectra_refuse_a_small_bin_like_exact_inverse(self):
+        d = 16
+        y = core.sample_standard(d, 6, 4)
+        spec = np.fft.rfft(y)
+        spec[2, 3] = 1e-7
+        y = np.fft.irfft(spec, n=d)
+        with pytest.raises(core.SpectralInverseError) as time_domain:
+            core.exact_inverse(y)
+        with pytest.raises(core.SpectralInverseError) as spectral:
+            core.unbind_spectra(np.ones(d // 2 + 1), np.fft.rfft(y), exact=True)
+        assert str(spectral.value) == str(time_domain.value)
+        assert str(spectral.value).startswith("spectral bin 3 of row 2 has magnitude")

@@ -1,5 +1,6 @@
 """Tests for the feedforward trainer, its heads, and checkpointing."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -607,6 +608,32 @@ class TestCheckpoint:
             with pytest.raises(ValueError) as info:
                 tr.load_checkpoint(short)
             assert str(info.value) == message
+
+    def test_corrupt_header_sizes_raise_before_allocating(self, tmp_path):
+        # A header claiming 100,000 x 100,000 weights (80 GB) is compared with
+        # the bytes left in the file instead of being allocated.
+        model = tr.init_model(12, (6,), 4, "fc", seed=2)
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(model, path)
+        blob = path.read_bytes()
+        hlen = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12 : 12 + hlen])
+        header["layer_sizes"] = [100_000, 100_000, 4]
+        text = json.dumps(header).encode()
+        path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen :])
+        payload = len(blob) - 12 - hlen
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                tr.load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6  # nothing near the claimed size was allocated
+        assert str(info.value) == (
+            f"truncated checkpoint {path}: layer 0 weights needs 80000000000 bytes, "
+            f"found {payload}"
+        )
 
     def test_load_peaks_near_the_weight_bytes(self, tmp_path):
         # each layer is read straight into its array, not into bytes first
