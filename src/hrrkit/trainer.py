@@ -14,6 +14,7 @@ for a fixed seed in single-threaded use.
 from __future__ import annotations
 
 import collections
+import contextlib
 import dataclasses
 import json
 import math
@@ -98,7 +99,9 @@ class EpochStats:
     training batches' wall time. For the hrr head, j_p and j_n split
     mean_loss into its present-role and absent-role terms (None for fc).
     grad_norm is the mean over the batches of the global L2 norm of the
-    loss gradient in every parameter, taken before the optimizer step.
+    loss gradient in every parameter, before weight decay. The optimizer
+    step takes it tile by tile as it reads the gradient, so its time falls
+    in optimizer_s, not backward_s.
     """
 
     epoch: int
@@ -219,12 +222,6 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
     return grads_w, grads_b
 
 
-def _grad_norm(grads):
-    # A _RowGrad counts each touched row once; its other rows are zero.
-    parts = (g.values if isinstance(g, _RowGrad) else g for g in grads)
-    return float(np.sqrt(sum(np.vdot(g, g) for g in parts)))
-
-
 def _bce_rows(z, y):
     # -[y log s(z) + (1-y) log(1 - s(z))] = max(z,0) - z y + log(1 + e^-|z|)
     return (np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean(axis=-1)
@@ -276,15 +273,40 @@ def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
     return j_p + j_n, grad, (j_p, j_n)
 
 
+# Elements per row tile of the Adam step: a tile's slices of p, m, v, the
+# gradient and the work buffer (5 x 256 KB) fit in a 2 MB L2 cache.
+_TILE = 1 << 15
+
+
+def _tiles(p, g):
+    """Row tiles of p as (lo, hi, gradient tile, its rows or None).
+
+    A tile holds about _TILE elements, and at least one row. A _RowGrad's
+    rows are sorted and unique, so each tile's part of it is a slice.
+    """
+    width = math.prod(p.shape[1:])
+    span = max(1, _TILE // max(width, 1))
+    starts = range(0, len(p), span)
+    if isinstance(g, _RowGrad):
+        cuts = np.searchsorted(g.rows, [*starts, len(p)]).tolist()
+        for lo, a, b in zip(starts, cuts, cuts[1:]):
+            yield lo, lo + span, g.values[a:b], g.rows[a:b]
+    else:
+        for lo in starts:
+            yield lo, lo + span, g[lo : lo + span], None
+
+
 class _Adam:
-    """Adam, fused in place.
+    """Adam, fused in place and walked in cache-sized row tiles.
 
     The bias corrections fold into a step size and an epsilon, and every
-    temporary goes through one preallocated work buffer. Every row's
-    moments decay on every step; a _RowGrad adds its rows' gradient on top,
-    which is dense Adam with a zero gradient on the other rows. decay holds
-    each parameter's L2 coefficient; that term is dense and reaches every
-    row.
+    temporary goes through one preallocated work buffer of at most one
+    tile. Every row's moments decay on every step; a _RowGrad adds its
+    rows' gradient on top, which is dense Adam with a zero gradient on the
+    other rows. decay holds each parameter's L2 coefficient; that term is
+    dense and reaches every row. Each tile runs the whole update before
+    the next, so every element gets the same operations in the same order
+    as one pass over the whole parameter, and the same bits.
     """
 
     def __init__(self, params, lr, beta1, beta2, eps, decay):
@@ -292,43 +314,59 @@ class _Adam:
         self.decay = decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.work = np.empty(max(p.size for p in params))
+        self.work = np.empty(
+            max(min(p.size, max(_TILE, math.prod(p.shape[1:]))) for p in params)
+        )
         self.t = 0
 
     def step(self, params, grads):
+        """Update params in place; returns the global L2 norm of grads.
+
+        The norm is of the loss gradient alone, before weight decay; a
+        _RowGrad counts each touched row once.
+        """
         self.t += 1
         b1, b2 = self.b1, self.b2
         # lr * mhat / (sqrt(vhat) + eps) == step * m / (sqrt(v) + eps_t)
         root_bc2 = np.sqrt(1.0 - b2**self.t)
         step = self.lr * root_bc2 / (1.0 - b1**self.t)
         eps_t = self.eps * root_bc2
+        sq = 0.0
         for p, g, m, v, decay in zip(params, grads, self.m, self.v, self.decay):
-            buf = self.work[: p.size].reshape(p.shape)
-            if isinstance(g, _RowGrad) and not decay:
-                m *= b1
-                m[g.rows] += (1.0 - b1) * g.values
-                v *= b2
-                v[g.rows] += (1.0 - b2) * np.square(g.values)
-            else:
-                if decay:  # the dense gradient g + decay * p, formed in buf
-                    np.multiply(p, decay, out=buf)
-                    if isinstance(g, _RowGrad):
-                        buf[g.rows] += g.values
-                    else:
-                        buf += g
-                    g = buf
-                m -= g  # m = b1 * m + (1 - b1) * g without a temporary
-                m *= b1
-                m += g
-                np.square(g, out=buf)
-                buf *= 1.0 - b2
-                v *= b2
-                v += buf
-            np.sqrt(v, out=buf)
-            buf += eps_t
-            np.divide(m, buf, out=buf)
-            buf *= step
-            p -= buf
+            for lo, hi, gt, rows in _tiles(p, g):
+                pt, mt, vt = p[lo:hi], m[lo:hi], v[lo:hi]
+                buf = self.work[: pt.size].reshape(pt.shape)
+                sq += np.vdot(gt, gt)
+                if rows is not None and not decay:
+                    gbuf = buf[: len(gt)]  # free until the step is formed in buf
+                    mt *= b1
+                    np.multiply(gt, 1.0 - b1, out=gbuf)
+                    m[rows] += gbuf
+                    vt *= b2
+                    np.square(gt, out=gbuf)
+                    gbuf *= 1.0 - b2
+                    v[rows] += gbuf
+                else:
+                    if decay:  # the dense gradient g + decay * p, formed in buf
+                        np.multiply(pt, decay, out=buf)
+                        if rows is not None:
+                            buf[rows - lo] += gt
+                        else:
+                            buf += gt
+                        gt = buf
+                    mt -= gt  # m = b1 * m + (1 - b1) * g without a temporary
+                    mt *= b1
+                    mt += gt
+                    np.square(gt, out=buf)
+                    buf *= 1.0 - b2
+                    vt *= b2
+                    vt += buf
+                np.sqrt(vt, out=buf)
+                buf += eps_t
+                np.divide(mt, buf, out=buf)
+                buf *= step
+                pt -= buf
+        return float(np.sqrt(sq))
 
 
 def train(model, dataset, config, space=None, val_dataset=None):
@@ -385,9 +423,8 @@ def train(model, dataset, config, space=None, val_dataset=None):
             losses.append(loss_value)
             splits.append(split)
             grads_w, grads_b = _backward_sparse(model, batch, acts, masks, grad_out)
-            norms.append(_grad_norm(grads_w + grads_b))
             t3 = time.perf_counter()
-            opt.step(params, grads_w + grads_b)
+            norms.append(opt.step(params, grads_w + grads_b))
             phases += (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
         trained = time.perf_counter()
         val_p1 = None
@@ -453,7 +490,15 @@ def compression_percent(n_labels, d_prime, hidden_width):
 
 
 def save_checkpoint(model, path, extra=None):
-    """Versioned binary checkpoint: magic, JSON header, float64 LE blocks."""
+    """Versioned binary checkpoint: magic, JSON header, float64 LE blocks.
+
+    The bytes go to a temporary file beside path, which os.replace then
+    moves into place, so a write that fails part way leaves any earlier
+    checkpoint at path whole and removes the partial file. The file is not
+    fsync-ed: this guards against the writing process failing, not
+    against the machine losing power. Each layer is written from its own
+    buffer, with no bytes copy of it.
+    """
     header = {
         "format_version": _FORMAT_VERSION,
         "head": model.head,
@@ -462,13 +507,20 @@ def save_checkpoint(model, path, extra=None):
     if extra:
         header.update(extra)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for w, b in zip(model.weights, model.biases):
-            fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for w, b in zip(model.weights, model.biases):
+                fh.write(np.ascontiguousarray(w, dtype="<f8").data)
+                fh.write(np.ascontiguousarray(b, dtype="<f8").data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(fh, shape, dtype, path, section):

@@ -265,6 +265,67 @@ def textbook_adam(params, grads, m, v, t, lr, b1, b2, eps, decay):
         p -= lr * mhat / (np.sqrt(vhat) + eps)
 
 
+class UntiledAdam:
+    """The fused Adam step as it was before it walked row tiles: each
+    update a whole-parameter pass, with a work buffer the size of the
+    largest parameter."""
+
+    def __init__(self, params, lr, beta1, beta2, eps, decay):
+        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
+        self.decay = decay
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.work = np.empty(max(p.size for p in params))
+        self.t = 0
+
+    def step(self, params, grads):
+        self.t += 1
+        b1, b2 = self.b1, self.b2
+        root_bc2 = np.sqrt(1.0 - b2**self.t)
+        step = self.lr * root_bc2 / (1.0 - b1**self.t)
+        eps_t = self.eps * root_bc2
+        for p, g, m, v, decay in zip(params, grads, self.m, self.v, self.decay):
+            buf = self.work[: p.size].reshape(p.shape)
+            if isinstance(g, tr._RowGrad) and not decay:
+                m *= b1
+                m[g.rows] += (1.0 - b1) * g.values
+                v *= b2
+                v[g.rows] += (1.0 - b2) * np.square(g.values)
+            else:
+                if decay:
+                    np.multiply(p, decay, out=buf)
+                    if isinstance(g, tr._RowGrad):
+                        buf[g.rows] += g.values
+                    else:
+                        buf += g
+                    g = buf
+                m -= g
+                m *= b1
+                m += g
+                np.square(g, out=buf)
+                buf *= 1.0 - b2
+                v *= b2
+                v += buf
+            np.sqrt(v, out=buf)
+            buf += eps_t
+            np.divide(m, buf, out=buf)
+            buf *= step
+            p -= buf
+
+
+def w1_rows(case, n_rows, span, rng):
+    """Touched W1 rows for a case, given the rows per tile."""
+    last = (n_rows - 1) // span * span
+    picks = {
+        "straddle": [span - 1, span, 2 * span - 1, 2 * span, last - 1, last],
+        "first": list(range(0, min(span, n_rows), 2)),
+        "last": list(range(last, n_rows, 2)),
+        "empty": [],
+        "random": rng.choice(n_rows, size=n_rows // 3, replace=False).tolist(),
+    }[case]
+    return np.unique(np.array(picks, dtype=np.int64))
+
+
 class TestFusedAdam:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     @pytest.mark.parametrize("sparse_w1", [False, True])
@@ -293,6 +354,57 @@ class TestFusedAdam:
             pairs += list(zip(opt.m, ref_m)) + list(zip(opt.v, ref_v))
             for got, want in pairs:
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("w1_shape", [(43, 6), (7, 100)])
+    @pytest.mark.parametrize("case", ["straddle", "first", "last", "empty", "random", "dense"])
+    def test_tiled_step_is_bitwise_the_untiled_step(self, monkeypatch, case, w1_shape, weight_decay):
+        # 64-element tiles: a 6-wide W1 takes 10 rows a tile, a 100-wide
+        # row is wider than a tile, and the 150-long bias spans three tiles
+        monkeypatch.setattr(tr, "_TILE", 64)
+        rng = np.random.default_rng(31)
+        shapes = [w1_shape, (5, 100), (6, 3), (150,), (3,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        ref_params = [p.copy() for p in params]
+        decay = [weight_decay, weight_decay, weight_decay, 0.0, weight_decay]
+        hyper = dict(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8, decay=decay)
+        opt, ref = tr._Adam(params, **hyper), UntiledAdam(ref_params, **hyper)
+        assert opt.work.size == max(min(np.prod(s), max(64, np.prod(s[1:]))) for s in shapes)
+        span = max(1, 64 // w1_shape[1])
+        for _ in range(4):
+            grads = [rng.standard_normal(shape) for shape in shapes]
+            dense = list(grads)
+            if case != "dense":
+                rows = w1_rows(case, w1_shape[0], span, rng)
+                grads[0] = tr._RowGrad(rows, rng.standard_normal((rows.size, w1_shape[1])))
+                dense[0] = np.zeros(w1_shape)
+                dense[0][rows] = grads[0].values
+            norm = opt.step(params, grads)
+            ref.step(ref_params, grads)
+            for got, want in zip(params + opt.m + opt.v, ref_params + ref.m + ref.v):
+                assert np.array_equal(got, want)
+            flat = np.concatenate([g.ravel() for g in dense])
+            assert norm == pytest.approx(np.linalg.norm(flat), rel=1e-12)
+
+    def test_step_memory_does_not_scale_with_the_largest_parameter(self):
+        # Bound fixed before measuring: under 1 MB above the step's inputs.
+        # An untiled step holds a work buffer the size of W1 (82 MB here)
+        # and makes whole-gradient temporaries (about 10 MB at its peak).
+        rng = np.random.default_rng(5)
+        params = [rng.standard_normal((20_000, 512)), np.zeros(512)]
+        opt = tr._Adam(params, 1e-3, 0.9, 0.999, 1e-8, decay=[0.0, 0.0])
+        assert opt.work.nbytes <= 8 * max(tr._TILE, 512)
+        rows = np.sort(rng.choice(20_000, size=1_200, replace=False))
+        grads = [tr._RowGrad(rows, rng.standard_normal((1_200, 512))), np.ones(512)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_work_buffer_is_preallocated_once(self):
         params = [np.ones((5, 3)), np.ones(3)]
@@ -572,6 +684,64 @@ class TestCheckpoint:
             tr.save_checkpoint(model, path)
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_failed_write_leaves_the_old_checkpoint_whole(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        tr.save_checkpoint(tr.init_model(12, (6, 5), 4, "fc", seed=2), path)
+        old = path.read_bytes()
+
+        class DiskFull:
+            """A file whose fourth write, inside the first layer, fails."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes == 4:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(tr, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            tr.save_checkpoint(tr.init_model(12, (6, 5), 4, "fc", seed=3), path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+        monkeypatch.undo()
+        model = tr.init_model(12, (6, 5), 4, "fc", seed=3)
+        tr.save_checkpoint(model, path)
+        assert model_params_bytes(tr.load_checkpoint(path)[0]) == model_params_bytes(model)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_save_writes_each_layer_from_its_own_buffer(self, tmp_path):
+        # Bound fixed before measuring: under 1 MB for an 8 MB first layer;
+        # a bytes copy of each layer before writing it peaks at 8 MB.
+        model = tr.init_model(2_000, (512,), 4, "fc", seed=6)
+        path = tmp_path / "model.ckpt"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tr.save_checkpoint(model, path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        # a layer in another memory order or dtype is converted, same bytes
+        model.weights[0] = np.asfortranarray(model.weights[0])
+        model.biases[0] = model.biases[0].astype(">f8")
+        other = tmp_path / "other.ckpt"
+        tr.save_checkpoint(model, other)
+        assert other.read_bytes() == path.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
