@@ -64,7 +64,8 @@ class SparseDataset:
     @property
     def n_unlabeled(self):
         """Examples with empty label sets; kept for evaluation, skipped for loss."""
-        return sum(1 for ex in self.examples if ex.labels.size == 0)
+        sizes = np.array([ex.labels.size for ex in self.examples], dtype=np.int64)
+        return int(np.count_nonzero(sizes == 0))
 
 
 def _parse_int(token, line_no, what):
@@ -268,9 +269,12 @@ def serialize_xml_repo(ds, stream=None):
 
 def compute_propensities(ds):
     """Per-label relative frequency count_l / N, floored at 1/N for unseen labels."""
-    counts = np.zeros(ds.n_labels)
-    for ex in ds.examples:
-        counts[ex.labels] += 1.0
+    flat = np.concatenate([np.empty(0, dtype=np.int64)] + [ex.labels for ex in ds.examples])
+    if flat.size and (flat.min() < 0 or flat.max() >= ds.n_labels):
+        bad = flat[(flat < 0) | (flat >= ds.n_labels)][0]
+        raise IndexError(f"label {bad} out of range [0, {ds.n_labels})")
+    # a label set is unique, so each example adds one to each of its labels
+    counts = np.bincount(flat, minlength=ds.n_labels)
     n = max(ds.n_examples, 1)
     return np.maximum(counts, 1.0) / n
 

@@ -18,6 +18,14 @@ directly. Unbinding the present role should reveal every present class
 vector (cosine near one), and unbinding the missing role should reveal
 nothing about them (cosine near zero). Class vectors are regenerated from
 a counter-based seed on demand, so no L x d' matrix is ever stored.
+
+Class i's vector is derived as mix64(seed, i) -> numpy SeedSequence ->
+PCG64 -> d' standard normals / sqrt(d') -> core.project(eps=0): the
+sample_unitary(d', mix64(seed, i)) draw. `class_vectors` derives the
+SeedSequence state words of all requested classes in one vectorized pass
+(`seeds.seed_sequence_words`) instead of building a SeedSequence per
+class; the batched path reproduces numpy's per-class construction bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import functools
 import numpy as np
 
 from . import core
-from .seeds import mix64
+from .seeds import mix64, mix64_array, pcg64_generators
 
 __all__ = [
     "LabelSpace",
@@ -92,13 +100,19 @@ class LabelSpace:
         return mix64(self.seed, index)
 
     def class_vectors(self, indices):
-        """Regenerate class vectors for the given indices, one per row."""
+        """Regenerate class vectors for the given indices, one per row.
+
+        Row k is core.sample_unitary(dim, class_seed(indices[k])), bit for
+        bit: mix64(seed, i) -> SeedSequence -> PCG64 -> N(0, 1) draws /
+        sqrt(dim) -> project(eps=0). The SeedSequence state words of all
+        rows come from one vectorized pass; each row's PCG64 is then seeded
+        from its words by numpy itself, one generator at a time.
+        """
         indices = np.atleast_1d(np.asarray(indices, dtype=np.int64))
         self._check_indices(indices)
         rows = np.empty((indices.size, self.dim))
-        for k, i in enumerate(indices):
-            rng = np.random.Generator(np.random.PCG64(self.class_seed(int(i))))
-            rng.standard_normal(out=rows[k])
+        for row, rng in zip(rows, pcg64_generators(mix64_array(self.seed, indices.ravel()))):
+            rng.standard_normal(out=row)
         rows /= np.sqrt(self.dim)
         return core.project(rows, eps=0.0)
 

@@ -259,6 +259,38 @@ class TestPropensities:
         p = dataio.compute_propensities(ds)
         assert p[4] == pytest.approx(0.01)
 
+    @staticmethod
+    def loop_propensities(ds):
+        """The per-example loop that compute_propensities replaced."""
+        counts = np.zeros(ds.n_labels)
+        for ex in ds.examples:
+            counts[ex.labels] += 1.0
+        return np.maximum(counts, 1.0) / max(ds.n_examples, 1)
+
+    def test_matches_per_example_loop_with_unlabeled_rows(self):
+        ds = dataio.synth_generate(300, 60, 12, labels_per_point=3, seed=9)
+        empty = np.zeros(0, dtype=np.int64)
+        ds.examples = [
+            dataio.SparseExample(ex.feat_idx, ex.feat_val, empty if i % 4 == 0 else ex.labels)
+            for i, ex in enumerate(ds.examples)
+        ]
+        assert ds.n_unlabeled == 75
+        p = dataio.compute_propensities(ds)
+        assert p.dtype == np.float64
+        np.testing.assert_array_equal(p, self.loop_propensities(ds))
+
+    def test_empty_dataset_has_unit_floor(self):
+        ds = dataio.SparseDataset(0, 4, 3, [])
+        assert ds.n_unlabeled == 0
+        np.testing.assert_array_equal(dataio.compute_propensities(ds), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(dataio.compute_propensities(ds), self.loop_propensities(ds))
+
+    def test_out_of_range_label_raises(self):
+        ds = dataio.parse_xml_repo("2 2 2\n0 0:1.0\n1 1:1.0\n")
+        ds.n_labels = 1
+        with pytest.raises(IndexError, match=r"label 1 out of range \[0, 1\)"):
+            dataio.compute_propensities(ds)
+
     def test_propensity_sum_equals_average_labels_per_point(self):
         ds = dataio.synth_generate(500, 40, 10, labels_per_point=3, seed=2)
         p = dataio.compute_propensities(ds)

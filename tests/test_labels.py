@@ -77,6 +77,40 @@ class TestLabelSpace:
         sp = lb.make_label_space(5, 32, seed=5)
         with pytest.raises(IndexError):
             sp.class_vector(5)
+        for bad in ([0, 5, 1], [2, -1]):
+            with pytest.raises(IndexError, match=rf"^class index {bad[1]} out of range \[0, 5\)$"):
+                sp.class_vectors(bad)
+
+
+def sample_unitary_rows(space, indices):
+    """Per-class reference: one SeedSequence, PCG64 and draw per class."""
+    return np.stack(
+        [core.sample_unitary(space.dim, space.class_seed(int(i))) for i in indices]
+    )
+
+
+class TestBatchedClassVectors:
+    @pytest.mark.parametrize("n, d, seed", [(1100, 121, -3), (700, 400, 2**40), (50, 64, 1)])
+    def test_bitwise_equal_to_per_class_sampling(self, n, d, seed):
+        sp = lb.make_label_space(n, d, seed)
+        got = sp.class_vectors(np.arange(n))
+        assert got.shape == (n, d)
+        ref = sample_unitary_rows(sp, range(n))
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_empty_duplicate_and_unsorted_indices(self):
+        sp = lb.make_label_space(300, 64, seed=11)
+        assert sp.class_vectors([]).shape == (0, 64)
+        assert sp.class_vectors(np.empty(0, dtype=np.int64)).shape == (0, 64)
+        idx = [299, 3, 3, 150, 0, 3]
+        got = sp.class_vectors(idx)
+        assert got.shape == (6, 64)
+        ref = sample_unitary_rows(sp, idx)
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+        np.testing.assert_array_equal(got[1], got[5])
+        single = sp.class_vectors(7)
+        assert single.shape == (1, 64)
+        np.testing.assert_array_equal(sp.class_vector(7), single[0])
 
 
 class TestEncode:

@@ -1,0 +1,51 @@
+"""Tests for the seed derivation and its vectorized form."""
+
+import numpy as np
+import pytest
+
+from hrrkit import seeds
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 + 5])
+def test_mix64_array_matches_scalar(seed):
+    idx = np.concatenate([np.arange(-3, 500), [np.iinfo(np.int64).max, np.iinfo(np.int64).min]])
+    got = seeds.mix64_array(seed, idx)
+    assert got.dtype == np.uint64
+    assert [int(v) for v in got] == [seeds.mix64(seed, int(i)) for i in idx]
+
+
+def test_mix64_array_of_a_scalar_index():
+    assert seeds.mix64_array(9, 4).tolist() == [seeds.mix64(9, 4)]
+
+
+def reference_words(s):
+    return np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+def test_seed_sequence_words_at_word_boundaries(seed):
+    got = seeds.seed_sequence_words([seed])
+    assert got.shape == (1, 4) and got.dtype == np.uint64
+    np.testing.assert_array_equal(got[0], reference_words(seed))
+
+
+def test_seed_sequence_words_of_mix64_outputs():
+    mixed = seeds.mix64_array(2024, np.arange(1000))
+    got = seeds.seed_sequence_words(mixed)
+    assert got.shape == (1000, 4)
+    np.testing.assert_array_equal(got, np.stack([reference_words(s) for s in mixed]))
+
+
+def test_seed_sequence_words_of_nothing():
+    assert seeds.seed_sequence_words(np.empty(0, dtype=np.uint64)).shape == (0, 4)
+
+
+def test_generators_repeat_per_seed_streams():
+    mixed = [0, 2**32 + 7, seeds.mix64(5, 3), 2**64 - 1]
+    gens = list(seeds.pcg64_generators(mixed))
+    assert len(gens) == len(mixed)
+    for rng, s in zip(gens, mixed):
+        ref = np.random.Generator(np.random.PCG64(s))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(rng.standard_normal(33), ref.standard_normal(33))
+        np.testing.assert_array_equal(rng.integers(0, 2**62, 5), ref.integers(0, 2**62, 5))
