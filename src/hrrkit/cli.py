@@ -256,12 +256,15 @@ def cmd_train(args):
 # --------------------------------------------------------------------- eval
 
 
-def _read_predictions(path, n_expected):
+def _read_predictions(path, n_expected, n_labels):
     rankings = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if line.startswith("#") or not line.strip():
                 continue
+            bad = next((t for t in line.split() if not t.isdecimal() or int(t) >= n_labels), None)
+            if bad is not None:
+                raise ValueError(f"{path}:{line_no}: {bad!r} is not a label in [0, {n_labels})")
             rankings.append([int(tok) for tok in line.split()])
     if len(rankings) != n_expected:
         raise ValueError(
@@ -277,7 +280,7 @@ def cmd_eval(args):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
     params_block = None
     if args.predictions:
-        rankings = _read_predictions(args.predictions, dataset.n_examples)
+        rankings = _read_predictions(args.predictions, dataset.n_examples, dataset.n_labels)
     else:
         model, header = trainermod.load_checkpoint(args.checkpoint)
         if header["layer_sizes"][0] != dataset.n_features:
@@ -322,7 +325,7 @@ def cmd_eval(args):
     if prop_source.n_labels != dataset.n_labels:
         raise ValueError("propensity source and eval dataset disagree on label count")
     propensities = dataio.compute_propensities(prop_source)
-    truths = [ex.labels.tolist() for ex in dataset.examples]
+    truths = np.split(dataset.labels, dataset.label_indptr[1:-1])
     report = metricsmod.metric_report(rankings, truths, propensities, ks=ks)
     payload = {"manifest": _manifest("eval", args), "metrics": report}
     if params_block:

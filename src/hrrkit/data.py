@@ -8,13 +8,15 @@ with 0-based decimal indices. The label field may be empty (line starts
 with a space); such examples are kept for evaluation but carry no loss.
 The serializer emits the same dialect byte-for-byte reproducibly.
 
-Parsing reads the file in blocks of lines and converts and checks each
-block with numpy. A block that fails any check is read again line by line,
-so an error names the same first bad line with the same message.
+Parsing reads the file in blocks of lines, converts and checks each block
+with numpy and builds one CSR array store (SparseDataset) from them. A
+block that fails any check is read again line by line, so an error names
+the same first bad line with the same message.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import io
 import itertools
@@ -37,35 +39,71 @@ class DatasetFormatError(ValueError):
     """Malformed dataset text; the message carries the 1-based line number."""
 
 
-@dataclasses.dataclass(frozen=True)
-class SparseExample:
-    feat_idx: np.ndarray  # int64, strictly ascending
-    feat_val: np.ndarray  # float64, finite
-    labels: np.ndarray  # int64, sorted unique
-
-    def __post_init__(self):
-        if self.feat_idx.shape != self.feat_val.shape:
-            raise ValueError("feature indices and values must align")
+SparseExample = collections.namedtuple("SparseExample", "feat_idx feat_val labels")  # a row's views
 
 
 @dataclasses.dataclass
 class SparseDataset:
-    n_examples: int
+    """Multi-label examples in one CSR array store.
+
+    Row i's features are indices[indptr[i]:indptr[i + 1]] (int64, strictly
+    ascending) with values (float64) at the same positions; its labels are
+    labels[label_indptr[i]:label_indptr[i + 1]] (int64, sorted unique).
+    take(rows) gathers a sub-dataset; examples builds row views on access.
+    """
+
     n_features: int
     n_labels: int
-    examples: list
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    label_indptr: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        if self.n_examples != len(self.examples):
-            raise ValueError(
-                f"declared {self.n_examples} examples, got {len(self.examples)}"
-            )
+        for name in ("indptr", "indices", "values", "label_indptr", "labels"):
+            dtype = np.float64 if name == "values" else np.int64
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        for what, ptr, size in (
+            ("indices", self.indptr, self.indices.size),
+            ("values", self.indptr, self.values.size),
+            ("labels", self.label_indptr, self.labels.size),
+        ):
+            if not (ptr.size and ptr[0] == 0 and ptr[-1] == size) or np.any(np.diff(ptr) < 0):
+                raise ValueError(f"pointers into {what} must run from 0 to {size} and never fall")
+        rows = (self.indptr.size - 1, self.label_indptr.size - 1)
+        if rows[0] != rows[1]:
+            raise ValueError(f"{rows[0]} feature rows, {rows[1]} label rows")
+
+    @property
+    def n_examples(self):
+        return self.indptr.size - 1
 
     @property
     def n_unlabeled(self):
         """Examples with empty label sets; kept for evaluation, skipped for loss."""
-        sizes = np.array([ex.labels.size for ex in self.examples], dtype=np.int64)
-        return int(np.count_nonzero(sizes == 0))
+        return int(np.count_nonzero(np.diff(self.label_indptr) == 0))
+
+    @property
+    def examples(self):
+        """SparseExample views of the rows, as a tuple built on each access."""
+        f, l = self.indptr.tolist(), self.label_indptr.tolist()
+        return tuple(
+            SparseExample(self.indices[f0:f1], self.values[f0:f1], self.labels[l0:l1])
+            for f0, f1, l0, l1 in zip(f, f[1:], l, l[1:])
+        )
+
+    def take(self, rows):
+        """The rows at an index array, a boolean mask or a slice, in that order."""
+        arrays = []
+        pairs = (self.indptr, (self.indices, self.values)), (self.label_indptr, (self.labels,))
+        for ptr, flats in pairs:
+            starts = ptr[:-1][rows]
+            counts = ptr[1:][rows] - starts
+            out = np.cumsum(np.append(0, counts))
+            at = np.arange(out[-1]) + np.repeat(starts - out[:-1], counts)
+            arrays += [out, *(flat[at] for flat in flats)]
+        return SparseDataset(self.n_features, self.n_labels, *arrays)
 
 
 def _parse_int(token, line_no, what):
@@ -93,7 +131,7 @@ _BLOCK_LINES = 512
 
 
 def _parse_line(line, line_no, d, l, shift):
-    """One example line, checked token by token in line order."""
+    """One example line as a one-row part, checked token by token in line order."""
     label_field, _, rest = line.rstrip("\n").partition(" ")
     labels = []
     if label_field:
@@ -123,11 +161,8 @@ def _parse_line(line, line_no, d, l, shift):
     vals = np.asarray(vals, dtype=np.float64)[order]
     if idxs.size and np.any(np.diff(idxs) == 0):
         raise DatasetFormatError(f"line {line_no}: duplicate feature index")
-    return SparseExample(
-        feat_idx=idxs,
-        feat_val=vals,
-        labels=np.unique(np.asarray(labels, dtype=np.int64)),
-    )
+    labels = np.unique(np.asarray(labels, dtype=np.int64))
+    return [idxs.size], idxs, vals, [labels.size], labels
 
 
 def _ascending_within(values, counts):
@@ -146,7 +181,7 @@ def _line_sort(values, counts):
 
 
 def _parse_block(lines, d, l, shift):
-    """Examples of a block of lines, or None if any check fails.
+    """The block's part of the store, or None if any check fails.
 
     Accepts only what _parse_line accepts and returns the same arrays for
     it: labels sorted and made unique, features sorted by index (a
@@ -191,14 +226,7 @@ def _parse_block(lines, d, l, shift):
         idx, val = idx[order], val[order]
         if not _ascending_within(idx, n_feats):
             return None
-    lab_end = np.cumsum(n_labels).tolist()
-    feat_end = np.cumsum(n_feats).tolist()
-    return [
-        SparseExample(
-            feat_idx=idx[f0:f1], feat_val=val[f0:f1], labels=labels[l0:l1]
-        )
-        for f0, f1, l0, l1 in zip([0] + feat_end, feat_end, [0] + lab_end, lab_end)
-    ]
+    return n_feats, idx, val, n_labels, labels
 
 
 def parse_xml_repo(source, one_based=False):
@@ -216,38 +244,42 @@ def parse_xml_repo(source, one_based=False):
     shift = 1 if one_based else 0
 
     header = source.readline()
-    parts = header.split()
-    if len(parts) != 3:
+    fields = header.split()
+    if len(fields) != 3:
         raise DatasetFormatError(
             f"line 1: header must be 'N D L', got {header.strip()!r}"
         )
-    n, d, l = (_parse_int(tok, 1, "header field") for tok in parts)
+    n, d, l = (_parse_int(tok, 1, "header field") for tok in fields)
     if n < 0 or d < 1 or l < 1:
         raise DatasetFormatError(f"line 1: non-positive header sizes {n} {d} {l}")
 
-    examples = []
-    line_no = 2
+    # SparseDataset's arrays with row counts in place of pointers. Parts are
+    # appended in place (resize reallocates), so the peak is the store plus a block.
+    columns = [np.empty(0, t) for t in (np.int64, np.int64, np.float64, np.int64, np.int64)]
+    count, line_no = 0, 2
     while block := list(itertools.islice(source, _BLOCK_LINES)):
         # Lines past the declared count go one by one: a trailing blank
         # line is tolerated there, and any other line is an error below.
-        fit = max(0, min(len(block), n - len(examples)))
-        parsed = _parse_block(block[:fit], d, l, shift) if fit else []
-        if parsed is None:
-            parsed = [
-                _parse_line(line, line_no + i, d, l, shift)
-                for i, line in enumerate(block[:fit])
-            ]
-        examples += parsed
+        fit = max(0, min(len(block), n - count))
+        if fit:
+            part = _parse_block(block[:fit], d, l, shift)
+            if part is None:
+                rows = [_parse_line(x, line_no + i, d, l, shift) for i, x in enumerate(block[:fit])]
+                part = tuple(map(np.concatenate, zip(*rows)))
+            for column, new in zip(columns, part):
+                column.resize(column.size + len(new), refcheck=False)
+                column[column.size - len(new) :] = new
+            count += fit
         for i, line in enumerate(block[fit:], start=line_no + fit):
-            if not line.strip() and len(examples) == n:
+            if not line.strip() and count == n:
                 continue
-            examples.append(_parse_line(line, i, d, l, shift))
+            _parse_line(line, i, d, l, shift)
+            count += 1
         line_no += len(block)
-    if len(examples) != n:
-        raise DatasetFormatError(
-            f"header declared {n} examples, file has {len(examples)}"
-        )
-    return SparseDataset(n_examples=n, n_features=d, n_labels=l, examples=examples)
+    if count != n:
+        raise DatasetFormatError(f"header declared {n} examples, file has {count}")
+    columns[0], columns[3] = (np.cumsum(np.append(0, columns[k])) for k in (0, 3))
+    return SparseDataset(d, l, *columns)
 
 
 def serialize_xml_repo(ds, stream=None):
@@ -256,27 +288,23 @@ def serialize_xml_repo(ds, stream=None):
     if own:
         stream = io.StringIO()
     stream.write(f"{ds.n_examples} {ds.n_features} {ds.n_labels}\n")
-    for ex in ds.examples:
-        labels = ",".join(str(int(i)) for i in ex.labels)
-        feats = " ".join(
-            f"{int(i)}:{float(val)!r}" for i, val in zip(ex.feat_idx, ex.feat_val)
-        )
-        stream.write(f"{labels} {feats}".rstrip() + "\n")
-    if own:
-        return stream.getvalue()
-    return None
+    for lo in range(0, ds.n_examples, 128):  # 128 rows' tokens at a time keep memory flat
+        rows = ds.take(slice(lo, lo + 128))
+        labels = list(map(str, rows.labels.tolist()))
+        feats = [f"{i}:{v!r}" for i, v in zip(rows.indices.tolist(), rows.values.tolist())]
+        f, l = rows.indptr.tolist(), rows.label_indptr.tolist()
+        for f0, f1, l0, l1 in zip(f, f[1:], l, l[1:]):
+            stream.write((",".join(labels[l0:l1]) + " " + " ".join(feats[f0:f1])).rstrip() + "\n")
+    return stream.getvalue() if own else None
 
 
 def compute_propensities(ds):
     """Per-label relative frequency count_l / N, floored at 1/N for unseen labels."""
-    flat = np.concatenate([np.empty(0, dtype=np.int64)] + [ex.labels for ex in ds.examples])
-    if flat.size and (flat.min() < 0 or flat.max() >= ds.n_labels):
-        bad = flat[(flat < 0) | (flat >= ds.n_labels)][0]
-        raise IndexError(f"label {bad} out of range [0, {ds.n_labels})")
+    bad = ds.labels[(ds.labels < 0) | (ds.labels >= ds.n_labels)]
+    if bad.size:
+        raise IndexError(f"label {bad[0]} out of range [0, {ds.n_labels})")
     # a label set is unique, so each example adds one to each of its labels
-    counts = np.bincount(flat, minlength=ds.n_labels)
-    n = max(ds.n_examples, 1)
-    return np.maximum(counts, 1.0) / n
+    return np.maximum(np.bincount(ds.labels, minlength=ds.n_labels), 1.0) / max(ds.n_examples, 1)
 
 
 def synth_generate(n_examples, n_features, n_labels, labels_per_point, seed, noise=0.0):
@@ -292,25 +320,16 @@ def synth_generate(n_examples, n_features, n_labels, labels_per_point, seed, noi
         raise ValueError("labels_per_point out of range")
     block = n_features // n_labels
     rng = np.random.Generator(np.random.PCG64(seed))
-    examples = []
-    for _ in range(n_examples):
-        chosen = np.sort(rng.choice(n_labels, size=labels_per_point, replace=False))
-        idxs = np.concatenate([np.arange(l * block, (l + 1) * block) for l in chosen])
-        vals = np.ones(idxs.size)
+    labels = np.empty((n_examples, labels_per_point), dtype=np.int64)
+    draws = np.zeros((n_examples, labels_per_point * block))
+    for row in range(n_examples):  # a row's labels, then its noise: the seed's order
+        labels[row] = np.sort(rng.choice(n_labels, size=labels_per_point, replace=False))
         if noise > 0.0:
-            vals = vals + noise * rng.standard_normal(idxs.size)
-        examples.append(
-            SparseExample(
-                feat_idx=idxs.astype(np.int64),
-                feat_val=vals,
-                labels=chosen.astype(np.int64),
-            )
-        )
+            draws[row] = rng.standard_normal(draws.shape[1])
     return SparseDataset(
-        n_examples=n_examples,
-        n_features=n_features,
-        n_labels=n_labels,
-        examples=examples,
+        n_features, n_labels, np.arange(n_examples + 1) * draws.shape[1],
+        (labels[:, :, None] * block + np.arange(block)).ravel(), 1.0 + noise * draws.ravel(),
+        np.arange(n_examples + 1) * labels_per_point, labels.ravel(),
     )
 
 
@@ -321,13 +340,5 @@ def split_dataset(ds, test_fraction=0.2, seed=0):
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(ds.n_examples)
     n_test = max(1, int(round(ds.n_examples * test_fraction)))
-    test_ids = set(order[:n_test].tolist())
-    train = [ex for i, ex in enumerate(ds.examples) if i not in test_ids]
-    test = [ex for i, ex in enumerate(ds.examples) if i in test_ids]
-    make = lambda rows: SparseDataset(
-        n_examples=len(rows),
-        n_features=ds.n_features,
-        n_labels=ds.n_labels,
-        examples=rows,
-    )
-    return make(train), make(test)
+    test = np.argsort(order) < n_test  # rows among the first n_test of the shuffle
+    return ds.take(~test), ds.take(test)

@@ -224,12 +224,8 @@ def loss_gradient(space, s_hat, labels, absolute=False):
     return grad
 
 
-def loss_with_gradient(space, s_hat, labels, absolute=False, class_rows=None):
-    """Loss breakdown and its prediction gradient in one pass.
-
-    class_rows may carry the present class vectors (in sorted index order)
-    to skip regeneration inside training loops.
-    """
+def loss_with_gradient(space, s_hat, labels, absolute=False):
+    """Loss breakdown and its prediction gradient in one pass."""
     s_hat = np.asarray(s_hat, dtype=np.float64)
     if s_hat.shape != (space.dim,):
         raise ValueError(f"prediction must have shape ({space.dim},)")
@@ -237,11 +233,9 @@ def loss_with_gradient(space, s_hat, labels, absolute=False, class_rows=None):
     if present.size == 0:
         return LossBreakdown(0.0, 0.0, degenerate=True), np.zeros(space.dim)
     u_p, u_m = core.unbind(s_hat, space.roles)
-    if class_rows is None:
-        class_rows = space.class_vectors(present)
-    owner = np.zeros(len(class_rows), dtype=np.int64)
+    rows = space.class_vectors(present)
     j_p, j_n, g_up, g_um = query_loss_terms(
-        u_p[None], u_m[None], class_rows, owner, absolute
+        u_p[None], u_m[None], rows, np.zeros(len(rows), dtype=np.int64), absolute
     )
     # u_p = s_hat (x) p*, so the adjoint maps the u_p gradient back through
     # a plain binding with p (and likewise for m).

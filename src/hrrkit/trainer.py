@@ -134,16 +134,16 @@ def init_model(n_features, hidden, out_dim, head, seed):
 
 
 def _forward_sparse(model, batch, dropout=0.0, rng=None):
-    """Forward pass over a list of SparseExample, returning the layer cache.
+    """Forward pass over a batch SparseDataset, returning the layer cache.
 
-    The first layer gathers only the weight rows of active features; later
-    layers are dense matrix products.
+    The first layer gathers only the weight rows of active features, one
+    CSR row at a time; later layers are dense matrix products.
     """
     w1, b1 = model.weights[0], model.biases[0]
-    z1 = np.tile(b1, (len(batch), 1))
-    for row, ex in enumerate(batch):
-        if ex.feat_idx.size:
-            z1[row] += ex.feat_val @ w1[ex.feat_idx]
+    z1 = np.tile(b1, (batch.n_examples, 1))
+    for row, (lo, hi) in enumerate(zip(batch.indptr[:-1].tolist(), batch.indptr[1:].tolist())):
+        if hi > lo:
+            z1[row] += batch.values[lo:hi] @ w1[batch.indices[lo:hi]]
     acts = [None, z1]
     a = np.maximum(z1, 0.0)
     masks = [None]
@@ -168,29 +168,16 @@ def _dropout(a, rate, rng):
 
 def forward(model, feat_idx, feat_val):
     """Output vector for one sparse example (logits or statement vector)."""
-    idx = np.asarray(feat_idx, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= model.weights[0].shape[0]):
+    idx, n_features = np.asarray(feat_idx, dtype=np.int64), model.weights[0].shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= n_features):
         raise ValueError("feature index out of range for this model")
-    val = np.asarray(feat_val, dtype=np.float64)
-    ex = data.SparseExample(idx, val, labels=np.empty(0, dtype=np.int64))
-    return _forward_sparse(model, [ex])[0][0]
+    batch = data.SparseDataset(n_features, 0, [0, idx.size], idx, feat_val, [0, 0], [])
+    return _forward_sparse(model, batch)[0][0]
 
 
 # Gradient of the first-layer weights at the sorted unique feature rows a
 # batch touches; every other row's gradient is zero.
 _RowGrad = collections.namedtuple("_RowGrad", "rows values")
-
-
-def _batch_values(batch):
-    """Sorted unique feature rows of a batch and its (B x U) value matrix."""
-    sizes = [ex.feat_idx.size for ex in batch]
-    rows, cols = np.unique(
-        np.concatenate([ex.feat_idx for ex in batch]), return_inverse=True
-    )
-    x = np.zeros((len(batch), rows.size))
-    owner = np.repeat(np.arange(len(batch)), sizes)
-    np.add.at(x, (owner, cols), np.concatenate([ex.feat_val for ex in batch]))
-    return rows, x
 
 
 def _backward_sparse(model, batch, acts, masks, grad_out):
@@ -217,7 +204,9 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
             da = da * masks[layer]
         delta = da * (acts[layer] > 0)
     grads_b[0] = delta.sum(axis=0)
-    rows, x = _batch_values(batch)
+    rows, cols = np.unique(batch.indices, return_inverse=True)
+    x = np.zeros((batch.n_examples, rows.size))  # X_b; unique features in a row: one write a cell
+    x[np.repeat(np.arange(batch.n_examples), np.diff(batch.indptr)), cols] = batch.values
     grads_w[0] = _RowGrad(rows, x.T @ delta)
     return grads_w, grads_b
 
@@ -252,9 +241,8 @@ def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
     examples in one call. The split is (j_p, j_n) for the hrr head and
     None for the fc head.
     """
-    sizes = np.array([ex.labels.size for ex in batch])
-    flat = np.concatenate([ex.labels for ex in batch])
-    owner = np.repeat(np.arange(len(batch)), sizes)
+    sizes, flat = np.diff(batch.label_indptr), batch.labels
+    owner = np.repeat(np.arange(batch.n_examples), sizes)
     labelled = sizes > 0
     count = max(int(np.count_nonzero(labelled)), 1)
     if model.head == "fc":
@@ -373,8 +361,8 @@ def train(model, dataset, config, space=None, val_dataset=None):
     """Mini-batch training; returns the model and per-epoch statistics.
 
     The hrr head requires a LabelSpace whose dimension matches the model
-    output. Raises TrainingDivergedError as soon as a batch loss is not
-    finite.
+    output and whose classes are the dataset's labels. Raises
+    TrainingDivergedError as soon as a batch loss is not finite.
     """
     if model.head == "hrr":
         if space is None:
@@ -382,6 +370,10 @@ def train(model, dataset, config, space=None, val_dataset=None):
         if space.dim != model.out_dim:
             raise ValueError(
                 f"label space dim {space.dim} != model output {model.out_dim}"
+            )
+        if space.n_classes != dataset.n_labels:
+            raise ValueError(
+                f"dataset has {dataset.n_labels} labels, label space has {space.n_classes} classes"
             )
     elif model.head == "fc" and dataset.n_labels != model.out_dim:
         raise ValueError(
@@ -406,7 +398,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
         phases = np.zeros(4)  # forward, loss, backward, optimizer seconds
         losses, splits, norms = [], [], []
         for lo in range(0, dataset.n_examples, config.batch_size):
-            batch = [dataset.examples[i] for i in order[lo : lo + config.batch_size]]
+            batch = dataset.take(order[lo : lo + config.batch_size])
             t0 = time.perf_counter()
             out, acts, masks = _forward_sparse(
                 model, batch, dropout=config.dropout, rng=drop_rng
@@ -430,7 +422,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
         val_p1 = None
         if val_dataset is not None:
             rankings = predict_rankings(model, val_dataset, space, k=1)
-            truths = [ex.labels.tolist() for ex in val_dataset.examples]
+            truths = np.split(val_dataset.labels, val_dataset.label_indptr[1:-1])
             val_p1 = metrics.metric_report(rankings, truths, ks=(1,)).get("P@1")
         j_p = j_n = None
         if model.head == "hrr" and splits:
@@ -464,7 +456,7 @@ def predict_rankings(model, dataset, space=None, k=5):
     stream block by block, so no (examples x classes) matrix is formed.
     """
     outs = [
-        _forward_sparse(model, dataset.examples[lo : lo + 256])[0]
+        _forward_sparse(model, dataset.take(slice(lo, lo + 256)))[0]
         for lo in range(0, dataset.n_examples, 256)
     ]
     out = np.concatenate(outs) if outs else np.zeros((0, model.out_dim))

@@ -183,7 +183,7 @@ def test_criterion_07_gradient_suite():
         # normalized loss is guarded but too curved for finite differences.
         model.biases[-1] += 0.1
         config = tr.TrainConfig(epochs=0)
-        batch = ds.examples
+        batch = ds
 
         def batch_loss():
             out, _, _ = tr._forward_sparse(model, batch)

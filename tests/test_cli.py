@@ -121,13 +121,8 @@ class TestCapacityCommand:
     def test_config_boolean_switch(self, tmp_path):
         ds = dataio.synth_generate(12, 30, 4, labels_per_point=1, seed=10)
         shifted = dataio.SparseDataset(
-            n_examples=ds.n_examples,
-            n_features=ds.n_features,
-            n_labels=ds.n_labels,
-            examples=[
-                dataio.SparseExample(ex.feat_idx + 1, ex.feat_val, ex.labels + 1)
-                for ex in ds.examples
-            ],
+            ds.n_features, ds.n_labels,
+            ds.indptr, ds.indices + 1, ds.values, ds.label_indptr, ds.labels + 1,
         )
         path = tmp_path / "onebased.txt"
         path.write_text(dataio.serialize_xml_repo(shifted), encoding="utf-8")
@@ -348,6 +343,28 @@ class TestTrainEvalCommands:
         payload = json.loads(out.read_text())
         assert payload["metrics"]["P@1"] == 1.0
         assert payload["metrics"]["P@2"] == 1.0  # every example has 2 labels
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("2 -1 0", "3: '-1' is not a label in [0, 3)"),
+            ("5 1 0", "3: '5' is not a label in [0, 3)"),
+            ("2 x 0", "3: 'x' is not a label in [0, 3)"),
+            ("2 1.0 0", "3: '1.0' is not a label in [0, 3)"),
+        ],
+    )
+    def test_eval_rejects_bad_predictions_file(self, tmp_path, capsys, row, message):
+        data_path = tmp_path / "test.txt"
+        ds = dataio.synth_generate(3, 6, 3, labels_per_point=1, seed=6)
+        data_path.write_text(dataio.serialize_xml_repo(ds), encoding="utf-8")
+        preds, out = tmp_path / "preds.txt", tmp_path / "report.json"
+        preds.write_text(f"# ranked labels\n0 1 2\n{row}\n2 1 0\n", encoding="utf-8")
+        assert run_cli([
+            "eval", "--data", str(data_path), "--predictions", str(preds),
+            "--k", "1", "--out", str(out),
+        ]) == 2
+        assert f"hrrkit: {preds}:{message}\n" == capsys.readouterr().err
+        assert not out.exists()
 
     def test_eval_shape_mismatch_exits_2(self, tmp_path, capsys):
         train_path, _ = write_synth(tmp_path, "train.txt", 64, seed=7)

@@ -136,11 +136,7 @@ class TestBlockParse:
         n, d, l, want = reference_parse(text, one_based=one_based)
         got = dataio.parse_xml_repo(text, one_based=one_based)
         assert (got.n_examples, got.n_features, got.n_labels) == (n, d, l)
-        assert len(got.examples) == len(want)
-        for ex, (idxs, vals, labels) in zip(got.examples, want):
-            for a, b in ((ex.feat_idx, idxs), (ex.feat_val, vals), (ex.labels, labels)):
-                assert a.dtype == b.dtype
-                np.testing.assert_array_equal(a, b)
+        assert_rows_equal(got.examples, want)
 
     def test_synthetic_roundtrip_matches_line_parser(self):
         self.assert_matches_reference("\n".join(block_test_lines()) + "\n")
@@ -240,6 +236,94 @@ class TestBlockParse:
             dataio.parse_xml_repo(text)
 
 
+def relabelled(ds, labels_of):
+    """ds with row i's labels replaced by labels_of(i, its labels)."""
+    rows = [np.asarray(labels_of(i, ex.labels), np.int64) for i, ex in enumerate(ds.examples)]
+    return dataio.SparseDataset(
+        ds.n_features, ds.n_labels, ds.indptr, ds.indices, ds.values,
+        np.cumsum([0] + [r.size for r in rows]), np.concatenate([np.empty(0, np.int64), *rows]),
+    )
+
+
+def assert_rows_equal(got, want):
+    """Each pair of rows has the same arrays, bit for bit and in dtype."""
+    got, want = list(got), list(want)
+    assert len(got) == len(want)
+    for ex, (idxs, vals, labels) in zip(got, want):
+        for a, b in ((ex.feat_idx, idxs), (ex.feat_val, vals), (ex.labels, labels)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+class TestStore:
+    TEXT = (
+        "8 6 4\n0 0:1.0 2:2.0\n 1:0.5\n1,2\n3 5:1.5\n\n"
+        "0,1,2,3 0:1.0 1:1.0 2:1.0 3:1.0 4:1.0 5:1.0\n2 4:0.25\n1 3:3.0\n"
+    )
+
+    def test_rows_equal_the_line_parser_on_block_and_fallback_paths(self, monkeypatch):
+        lines = TestBlockParse.reorder_lines(block_test_lines(), "shuffled")
+        lines[5] = " " + lines[5].partition(" ")[2]  # no labels
+        lines[700] = ""  # empty example, in the block read line by line
+        block_parser, blocks = dataio._parse_block, []
+
+        def second_block_line_by_line(lines, *args):
+            blocks.append(len(lines))
+            return None if len(blocks) == 2 else block_parser(lines, *args)
+
+        monkeypatch.setattr(dataio, "_parse_block", second_block_line_by_line)
+        ds = dataio.parse_xml_repo("\n".join(lines) + "\n")
+        assert blocks == [512, 512, 276]
+        parts = [dataio._parse_line(line, i, 60, 12, 0) for i, line in enumerate(lines[1:], 2)]
+        assert_rows_equal(ds.examples, [(idx, val, labels) for _, idx, val, _, labels in parts])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            np.array([], dtype=np.int64),
+            [3, 3, 0],
+            [7, 4, 1, 2, 4, 6],
+            np.array([True, False, True, True, False, False, True, True]),
+            slice(2, 6),
+        ],
+    )
+    def test_take_equals_the_rows_gathered_from_examples(self, rows):
+        ds = dataio.parse_xml_repo(self.TEXT)
+        got = ds.take(rows)
+        assert (got.n_features, got.n_labels) == (6, 4)
+        want = [ds.examples[i] for i in np.arange(ds.n_examples)[rows]]
+        assert_rows_equal(got.examples, [(ex.feat_idx, ex.feat_val, ex.labels) for ex in want])
+
+    def test_examples_are_views_that_cannot_be_assigned(self):
+        ds = dataio.parse_xml_repo(self.TEXT)
+        assert np.shares_memory(ds.examples[5].feat_val, ds.values)
+        with pytest.raises(TypeError):
+            ds.examples[0] = ds.examples[1]
+        with pytest.raises(AttributeError):
+            ds.examples = ()
+
+    @pytest.mark.parametrize(
+        "indptr,label_indptr,message",
+        [
+            ([1, 2, 3], [0, 1, 2], "pointers into indices must run from 0 to 3 and never fall"),
+            ([0, 2, 1, 3], [0, 1, 1, 2], "pointers into indices must run from 0 to 3"),
+            ([0, 1, 2], [0, 1, 2], "pointers into indices must run from 0 to 3"),
+            ([], [0, 1, 2], "pointers into indices must run from 0 to 3"),
+            ([0, 1, 3], [0, 2, 1], "pointers into labels must run from 0 to 2"),
+            ([0, 1, 3], [0, 1, 1], "pointers into labels must run from 0 to 2"),
+            ([0, 1, 3], [0, 1, 1, 2], "2 feature rows, 3 label rows"),
+        ],
+    )
+    def test_constructor_rejects_inconsistent_arrays(self, indptr, label_indptr, message):
+        with pytest.raises(ValueError, match=message):
+            dataio.SparseDataset(6, 4, indptr, [0, 1, 2], [1.0, 2.0, 3.0], label_indptr, [0, 3])
+
+    def test_constructor_rejects_misaligned_values(self):
+        with pytest.raises(ValueError, match="pointers into values must run from 0 to 2"):
+            dataio.SparseDataset(6, 4, [0, 3], [0, 1, 2], [1.0, 2.0], [0, 0], [])
+
+
 class TestPropensities:
     def test_ubiquitous_label_has_unit_propensity(self):
         ds = dataio.parse_xml_repo("2 2 2\n0 0:1.0\n0 1:1.0\n")
@@ -252,10 +336,7 @@ class TestPropensities:
 
     def test_unseen_label_floor(self):
         ds = dataio.synth_generate(100, 10, 5, labels_per_point=1, seed=1)
-        ds.examples = [
-            dataio.SparseExample(ex.feat_idx, ex.feat_val, ex.labels[ex.labels != 4])
-            for ex in ds.examples
-        ]
+        ds = relabelled(ds, lambda i, labels: labels[labels != 4])
         p = dataio.compute_propensities(ds)
         assert p[4] == pytest.approx(0.01)
 
@@ -269,18 +350,14 @@ class TestPropensities:
 
     def test_matches_per_example_loop_with_unlabeled_rows(self):
         ds = dataio.synth_generate(300, 60, 12, labels_per_point=3, seed=9)
-        empty = np.zeros(0, dtype=np.int64)
-        ds.examples = [
-            dataio.SparseExample(ex.feat_idx, ex.feat_val, empty if i % 4 == 0 else ex.labels)
-            for i, ex in enumerate(ds.examples)
-        ]
+        ds = relabelled(ds, lambda i, labels: labels[:0] if i % 4 == 0 else labels)
         assert ds.n_unlabeled == 75
         p = dataio.compute_propensities(ds)
         assert p.dtype == np.float64
         np.testing.assert_array_equal(p, self.loop_propensities(ds))
 
     def test_empty_dataset_has_unit_floor(self):
-        ds = dataio.SparseDataset(0, 4, 3, [])
+        ds = dataio.SparseDataset(4, 3, [0], [], [], [0], [])
         assert ds.n_unlabeled == 0
         np.testing.assert_array_equal(dataio.compute_propensities(ds), [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(dataio.compute_propensities(ds), self.loop_propensities(ds))

@@ -218,15 +218,6 @@ class TestLoss:
         assert breakdown == lb.loss(sp, s_hat, [2, 9])
         np.testing.assert_array_equal(grad, lb.loss_gradient(sp, s_hat, [2, 9]))
 
-    def test_precomputed_rows_match_streaming(self):
-        sp = lb.make_label_space(16, 64, seed=17)
-        s_hat = core.sample_standard(64, 4)
-        rows = sp.class_vectors([2, 9])
-        a = lb.loss_with_gradient(sp, s_hat, [2, 9], class_rows=rows)
-        b = lb.loss_with_gradient(sp, s_hat, [2, 9])
-        assert a[0] == b[0]
-        np.testing.assert_array_equal(a[1], b[1])
-
 
 def reference_cosines_and_grads(u, rows):
     nu = np.linalg.norm(u)

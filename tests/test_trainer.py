@@ -33,6 +33,27 @@ def model_params_bytes(model):
     return b"".join(p.tobytes() for p in model.weights + model.biases)
 
 
+def dataset_of(n_features, n_labels, rows):
+    """A SparseDataset of (feat_idx, feat_val, labels) rows, built row by row."""
+    rows = list(rows)
+    flat = lambda i, dtype: np.concatenate(
+        [np.empty(0, dtype)] + [np.asarray(row[i], dtype) for row in rows]
+    )
+    ptr = lambda i: np.cumsum([0] + [len(row[i]) for row in rows])
+    return dataio.SparseDataset(
+        n_features, n_labels,
+        ptr(0), flat(0, np.int64), flat(1, np.float64), ptr(2), flat(2, np.int64),
+    )
+
+
+def relabelled(ds, labels_of):
+    """ds with row i's labels replaced by labels_of(i, its labels)."""
+    return dataset_of(
+        ds.n_features, ds.n_labels,
+        ((ex.feat_idx, ex.feat_val, labels_of(i, ex.labels)) for i, ex in enumerate(ds.examples)),
+    )
+
+
 def planted(n, seed, noise=0.05):
     return dataio.synth_generate(n, 100, 20, labels_per_point=2, seed=seed, noise=noise)
 
@@ -70,10 +91,8 @@ class TestForward:
     def test_hidden_activations_nonnegative(self):
         model = tr.init_model(10, (8,), 4, "fc", seed=3)
         rng = np.random.default_rng(4)
-        ex = dataio.SparseExample(
-            feat_idx=np.arange(10), feat_val=rng.standard_normal(10), labels=np.array([0])
-        )
-        _, acts, masks = tr._forward_sparse(model, [ex])
+        batch = dataset_of(10, 4, [(np.arange(10), rng.standard_normal(10), [0])])
+        _, acts, masks = tr._forward_sparse(model, batch)
         assert np.all(np.maximum(acts[1], 0.0) >= 0.0)
 
     def test_out_of_range_feature_raises(self):
@@ -125,7 +144,7 @@ class TestBackward:
         # normalized loss is guarded but too curved for finite differences.
         model.biases[-1] += 0.1
         config = tr.TrainConfig(epochs=0, seed=0)
-        batch = ds.examples
+        batch = ds
 
         def batch_loss():
             out, _, _ = tr._forward_sparse(model, batch)
@@ -156,19 +175,17 @@ class TestBackward:
     def test_zero_output_gradient_gives_zero_parameter_gradient(self):
         ds = planted(4, seed=10)
         model = tr.init_model(100, (8,), 5, "fc", seed=11)
-        out, acts, masks = tr._forward_sparse(model, ds.examples)
-        grads_w, grads_b = tr._backward_sparse(
-            model, ds.examples, acts, masks, np.zeros_like(out)
-        )
+        out, acts, masks = tr._forward_sparse(model, ds)
+        grads_w, grads_b = tr._backward_sparse(model, ds, acts, masks, np.zeros_like(out))
         grads_w = dense_w1_grad(model, grads_w)
         assert all(np.all(g == 0) for g in grads_w + grads_b)
 
     def test_row_sparse_w1_gradient_matches_per_row_outer_sum(self):
         ds = planted(24, seed=20, noise=0.3)
         model = tr.init_model(100, (16,), 20, "fc", seed=12)
-        out, acts, masks = tr._forward_sparse(model, ds.examples)
+        out, acts, masks = tr._forward_sparse(model, ds)
         grad_out = np.random.default_rng(21).standard_normal(out.shape)
-        grads_w, grads_b = tr._backward_sparse(model, ds.examples, acts, masks, grad_out)
+        grads_w, grads_b = tr._backward_sparse(model, ds, acts, masks, grad_out)
         delta = (grad_out @ model.weights[1].T) * (acts[1] > 0)
         reference = np.zeros_like(model.weights[0])
         for row, ex in enumerate(ds.examples):
@@ -198,9 +215,7 @@ def reference_bce_grad(logits, y):
 
 def batch_with_unlabelled_row(n, seed):
     ds = planted(n, seed=seed, noise=0.2)
-    ex = ds.examples[2]
-    ds.examples[2] = dataio.SparseExample(ex.feat_idx, ex.feat_val, np.zeros(0, np.int64))
-    return ds.examples
+    return relabelled(ds, lambda i, labels: labels[:0] if i == 2 else labels)
 
 
 class TestBatchedLoss:
@@ -213,7 +228,7 @@ class TestBatchedLoss:
             model, batch, out, None, tr.TrainConfig(epochs=0)
         )
         losses, ref_grad = [], np.zeros_like(out)
-        for row, ex in enumerate(batch):
+        for row, ex in enumerate(batch.examples):
             if ex.labels.size == 0:
                 continue
             y = np.zeros(20)
@@ -239,7 +254,7 @@ class TestBatchedLoss:
             model, batch, out, space, config, class_matrix=matrix
         )
         parts, ref_grad = [], np.zeros_like(out)
-        for row, ex in enumerate(batch):
+        for row, ex in enumerate(batch.examples):
             if ex.labels.size == 0:
                 continue
             breakdown, ref_grad[row] = lb.loss_with_gradient(
@@ -461,20 +476,27 @@ class TestTraining:
 
     def test_divergence_raises_dedicated_error(self):
         ds = planted(32, seed=17)
-        poisoned = dataio.SparseDataset(
-            n_examples=ds.n_examples,
-            n_features=ds.n_features,
-            n_labels=ds.n_labels,
-            examples=[
-                dataio.SparseExample(
-                    ex.feat_idx, np.where(ex.feat_val > 0, np.inf, 0.0), ex.labels
-                )
+        poisoned = dataset_of(
+            ds.n_features, ds.n_labels,
+            (
+                (ex.feat_idx, np.where(ex.feat_val > 0, np.inf, 0.0), ex.labels)
                 for ex in ds.examples
-            ],
+            ),
         )
         model = tr.init_model(100, (8,), 20, "fc", seed=9)
         with np.errstate(invalid="ignore"), pytest.raises(tr.TrainingDivergedError):
             tr.train(model, poisoned, tr.TrainConfig(epochs=1, seed=9))
+
+    @pytest.mark.parametrize("n_classes", [10, 30])
+    def test_hrr_label_space_must_match_the_dataset_labels(self, n_classes):
+        ds = planted(16, seed=39)  # 20 labels
+        space = lb.make_label_space(n_classes, 32, seed=39)
+        model = tr.init_model(100, (8,), 32, "hrr", seed=39)
+        before = model_params_bytes(model)
+        message = f"dataset has 20 labels, label space has {n_classes} classes"
+        with pytest.raises(ValueError, match=message):
+            tr.train(model, ds, tr.TrainConfig(epochs=1, seed=39), space=space)
+        assert model_params_bytes(model) == before
 
     def test_class_vectors_unchanged_by_training(self):
         ds = planted(128, seed=18)
@@ -516,7 +538,7 @@ class TestTraining:
         order = np.random.Generator(np.random.PCG64(mix64(12, 0xE90C))).permutation(80)
         norms = []
         for lo in range(0, 80, 32):
-            batch = [ds.examples[i] for i in order[lo : lo + 32]]
+            batch = ds.take(order[lo : lo + 32])
             out, acts, masks = tr._forward_sparse(model, batch)
             _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
             grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
@@ -532,7 +554,8 @@ def dense_rankings(model, dataset, space=None, k=5):
     outs = []
     batchsize = 256
     for lo in range(0, dataset.n_examples, batchsize):
-        batch = dataset.examples[lo : lo + batchsize]
+        rows = dataset.examples[lo : lo + batchsize]
+        batch = dataset_of(dataset.n_features, dataset.n_labels, rows)
         out, _, _ = tr._forward_sparse(model, batch)
         outs.append(out)
     out = np.concatenate(outs) if outs else np.zeros((0, model.out_dim))
@@ -594,7 +617,7 @@ class TestPredictRankings:
         assert_int_rankings(got, 300, k)
 
     def test_empty_dataset(self):
-        ds = dataio.SparseDataset(n_examples=0, n_features=100, n_labels=20, examples=[])
+        ds = dataio.SparseDataset(100, 20, [0], [], [], [0], [])
         model = tr.init_model(100, (8,), 32, "hrr", seed=33)
         space = lb.make_label_space(20, 32, seed=33)
         assert tr.predict_rankings(model, ds, space=space, k=3) == []
@@ -619,10 +642,7 @@ class TestPredictRankings:
     @pytest.mark.parametrize("head,out_dim", [("fc", 20), ("hrr", 32)])
     def test_validation_p1_matches_old_loop_with_unlabelled_example(self, head, out_dim):
         ds = planted(128, seed=35)
-        val = planted(30, seed=36)
-        val.examples[4] = dataio.SparseExample(
-            val.examples[4].feat_idx, val.examples[4].feat_val, np.empty(0, np.int64)
-        )
+        val = relabelled(planted(30, seed=36), lambda i, labels: labels[:0] if i == 4 else labels)
         space = lb.make_label_space(20, out_dim, seed=35) if head == "hrr" else None
         model = tr.init_model(100, (8,), out_dim, head, seed=35)
         model, stats = tr.train(
@@ -634,11 +654,7 @@ class TestPredictRankings:
 
     def test_validation_p1_is_none_without_labelled_examples(self):
         ds = planted(64, seed=37)
-        val = planted(5, seed=38)
-        val.examples[:] = [
-            dataio.SparseExample(ex.feat_idx, ex.feat_val, np.empty(0, np.int64))
-            for ex in val.examples
-        ]
+        val = relabelled(planted(5, seed=38), lambda i, labels: labels[:0])
         model = tr.init_model(100, (8,), 20, "fc", seed=37)
         _, stats = tr.train(model, ds, tr.TrainConfig(epochs=1, seed=37), val_dataset=val)
         assert stats[-1].val_p1 is None
