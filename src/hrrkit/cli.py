@@ -283,26 +283,12 @@ def cmd_eval(args):
         rankings = _read_predictions(args.predictions, dataset.n_examples, dataset.n_labels)
     else:
         model, header = trainermod.load_checkpoint(args.checkpoint)
-        if header["layer_sizes"][0] != dataset.n_features:
-            raise ValueError(
-                f"checkpoint expects {header['layer_sizes'][0]} features, "
-                f"dataset has {dataset.n_features}"
-            )
         space = None
         if model.head == "hrr":
             space = labelcodec.make_label_space(
                 header["n_labels"], header["d_prime"], header["label_seed"]
             )
-            if header["n_labels"] != dataset.n_labels:
-                raise ValueError(
-                    f"checkpoint trained with {header['n_labels']} labels, "
-                    f"dataset has {dataset.n_labels}"
-                )
-        elif model.out_dim != dataset.n_labels:
-            raise ValueError(
-                f"checkpoint outputs {model.out_dim} labels, "
-                f"dataset has {dataset.n_labels}"
-            )
+        trainermod.check_dataset(model, dataset, space)
         rankings = trainermod.predict_rankings(
             model, dataset, space=space, k=max(ks)
         )

@@ -252,6 +252,8 @@ def parse_xml_repo(source, one_based=False):
     n, d, l = (_parse_int(tok, 1, "header field") for tok in fields)
     if n < 0 or d < 1 or l < 1:
         raise DatasetFormatError(f"line 1: non-positive header sizes {n} {d} {l}")
+    if max(n, d, l) >= 2**63:  # indices below D and L then fit the int64 store
+        raise DatasetFormatError(f"line 1: header sizes {n} {d} {l} exceed int64")
 
     # SparseDataset's arrays with row counts in place of pointers. Parts are
     # appended in place (resize reallocates), so the peak is the store plus a block.

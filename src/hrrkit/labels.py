@@ -47,9 +47,11 @@ __all__ = [
     "encode_labels",
     "loss",
     "loss_gradient",
+    "loss_terms",
     "loss_with_gradient",
     "make_label_space",
     "query_loss_terms",
+    "score_blocks",
     "topk",
 ]
 
@@ -143,6 +145,13 @@ def make_label_space(n_classes, dim, seed):
     return LabelSpace(n_classes, dim, seed)
 
 
+def _prediction(space, s_hat):
+    s_hat = np.asarray(s_hat, dtype=np.float64)
+    if s_hat.shape != (space.dim,):
+        raise ValueError(f"prediction must have shape ({space.dim},)")
+    return s_hat[None]
+
+
 def _present_array(space, labels):
     arr = np.unique(np.asarray(sorted(labels), dtype=np.int64))
     space._check_indices(arr)
@@ -157,10 +166,7 @@ def _absent_weight(space, n_present):
 def encode_labels(space, labels):
     """Statement vector for a label set; the ideal network output."""
     present = _present_array(space, labels)
-    if present.size:
-        bundle = space.class_vectors(present).sum(axis=0)
-    else:
-        bundle = np.zeros(space.dim)
+    bundle = space.class_vectors(present).sum(axis=0)  # zeros for an empty set
     w = _absent_weight(space, present.size)
     fillers = np.stack([bundle, w * (space.all_classes - bundle)])
     return core.bind_sum(space.roles, fillers)
@@ -202,6 +208,18 @@ def query_loss_terms(u_p, u_m, class_rows, owner, absolute=False):
     return seg.sum(axis=1) - c_p, j_n, -g_p, g_um
 
 
+def loss_terms(space, s_hat, class_rows, owner, absolute=False):
+    """query_loss_terms of B (B, dim) predictions: (j_p, j_n, gradient in s_hat).
+
+    The trainer passes whole batches; loss_with_gradient is a batch of one.
+    """
+    u_p, u_m = core.unbind(s_hat, space.roles[:, None])
+    j_p, j_n, g_up, g_um = query_loss_terms(u_p, u_m, class_rows, owner, absolute)
+    # u_p = s_hat (x) p*, so the adjoint maps the u_p gradient back through
+    # a plain binding with p (and likewise for m).
+    return j_p, j_n, core.bind_sum(space.roles[:, None], np.stack([g_up, g_um]))
+
+
 def loss(space, s_hat, labels, absolute=False):
     """Query loss of a predicted statement against a label set.
 
@@ -226,21 +244,11 @@ def loss_gradient(space, s_hat, labels, absolute=False):
 
 def loss_with_gradient(space, s_hat, labels, absolute=False):
     """Loss breakdown and its prediction gradient in one pass."""
-    s_hat = np.asarray(s_hat, dtype=np.float64)
-    if s_hat.shape != (space.dim,):
-        raise ValueError(f"prediction must have shape ({space.dim},)")
+    s_hat = _prediction(space, s_hat)
     present = _present_array(space, labels)
-    if present.size == 0:
-        return LossBreakdown(0.0, 0.0, degenerate=True), np.zeros(space.dim)
-    u_p, u_m = core.unbind(s_hat, space.roles)
-    rows = space.class_vectors(present)
-    j_p, j_n, g_up, g_um = query_loss_terms(
-        u_p[None], u_m[None], rows, np.zeros(len(rows), dtype=np.int64), absolute
-    )
-    # u_p = s_hat (x) p*, so the adjoint maps the u_p gradient back through
-    # a plain binding with p (and likewise for m).
-    grad = core.bind_sum(space.roles, np.stack([g_up[0], g_um[0]]))
-    return LossBreakdown(j_p=float(j_p[0]), j_n=float(j_n[0])), grad
+    owner = np.zeros(present.size, dtype=np.int64)  # no rows: zero loss and gradient
+    j_p, j_n, grad = loss_terms(space, s_hat, space.class_vectors(present), owner, absolute)
+    return LossBreakdown(float(j_p[0]), float(j_n[0]), degenerate=not present.size), grad[0]
 
 
 def class_scores(space, s_hat):
@@ -249,11 +257,18 @@ def class_scores(space, s_hat):
     Scores are computed by streaming class regeneration in fixed-size
     blocks; memory stays O(block * dim) plus the L-vector of scores.
     """
-    s_hat = np.asarray(s_hat, dtype=np.float64)
-    if s_hat.shape != (space.dim,):
-        raise ValueError(f"prediction must have shape ({space.dim},)")
-    query = core.unbind(s_hat, space.p)
-    return np.concatenate([rows @ query for _, rows in space.iter_class_blocks()])
+    return np.concatenate([row for _, (row,) in score_blocks(space, _prediction(space, s_hat))])
+
+
+def score_blocks(space, s_hat):
+    """(start, scores) for each block of classes, in order, against B predictions.
+
+    scores holds the (B, w) dot products of the role-p unbindings of s_hat
+    with the w class vectors from start; topk needs no (B x L) matrix.
+    """
+    queries = core.unbind(s_hat, space.p)
+    for start, rows in space.iter_class_blocks():
+        yield start, queries @ rows.T
 
 
 def topk(blocks, k):
@@ -301,7 +316,7 @@ def decode_topk(space, s_hat, k):
     """Indices of the k highest-scoring classes, ties broken by lower index."""
     if not 1 <= k <= space.n_classes:
         raise ValueError(f"k must be in [1, {space.n_classes}], got {k}")
-    return topk([(0, class_scores(space, s_hat)[None])], k)[0].tolist()
+    return topk(score_blocks(space, _prediction(space, s_hat)), k)[0].tolist()
 
 
 def decode_threshold(space, s_hat, tau=0.5):

@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from . import core
 from . import data
 from . import labels as labelcodec
 from . import metrics
@@ -36,6 +35,7 @@ __all__ = [
     "TrainConfig",
     "TrainingDivergedError",
     "bce_loss",
+    "check_dataset",
     "compression_percent",
     "forward",
     "init_model",
@@ -48,6 +48,7 @@ __all__ = [
 
 _MAGIC = b"HRRMLP1\n"
 _FORMAT_VERSION = 1
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and epsilon
 
 
 class TrainingDivergedError(RuntimeError):
@@ -74,9 +75,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 64
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     dropout: float = 0.0
     seed: int = 0
@@ -233,13 +231,10 @@ def _bce_grad(logits, y):
 def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
     """Mean loss over the batch, its gradient at the output, and its split.
 
-    Examples with no labels are kept in the forward pass but contribute
-    neither loss nor gradient. The fc head scores the whole (B x L) block
-    at once. The hrr head unbinds the whole batch with one transform pass,
-    gathers every present class row once (from the precomputed class
-    matrix when one fits in memory) and takes the query loss of all
-    examples in one call. The split is (j_p, j_n) for the hrr head and
-    None for the fc head.
+    Examples with no labels contribute neither loss nor gradient. The fc
+    head scores the (B x L) block at once; the hrr head gathers the present
+    class rows (from the class matrix when there is one) for one
+    labels.loss_terms call. The split is (j_p, j_n) for hrr, None for fc.
     """
     sizes, flat = np.diff(batch.label_indptr), batch.labels
     owner = np.repeat(np.arange(batch.n_examples), sizes)
@@ -251,14 +246,10 @@ def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
         loss = float(_bce_rows(out[labelled], y[labelled]).sum()) / count
         grad = np.where(labelled[:, None], _bce_grad(out, y), 0.0) / count
         return loss, grad, None
-    u_p, u_m = core.unbind(out, space.roles[:, None])
     rows = class_matrix[flat] if class_matrix is not None else space.class_vectors(flat)
-    j_p, j_n, g_up, g_um = labelcodec.query_loss_terms(
-        u_p, u_m, rows, owner, absolute=config.absolute_cosine
-    )
-    grad = core.bind_sum(space.roles[:, None], np.stack([g_up, g_um])) / count
+    j_p, j_n, grad = labelcodec.loss_terms(space, out, rows, owner, absolute=config.absolute_cosine)
     j_p, j_n = float(j_p.sum()) / count, float(j_n.sum()) / count
-    return j_p + j_n, grad, (j_p, j_n)
+    return j_p + j_n, grad / count, (j_p, j_n)
 
 
 # Elements per row tile of the Adam step: a tile's slices of p, m, v, the
@@ -357,31 +348,41 @@ class _Adam:
         return float(np.sqrt(sq))
 
 
-def train(model, dataset, config, space=None, val_dataset=None):
-    """Mini-batch training; returns the model and per-epoch statistics.
+def check_dataset(model, dataset, space=None, name="dataset"):
+    """Raise ValueError, naming both counts, unless the dataset fits the model.
 
-    The hrr head requires a LabelSpace whose dimension matches the model
-    output and whose classes are the dataset's labels. Raises
-    TrainingDivergedError as soon as a batch loss is not finite.
+    Features must match the model's inputs; labels its outputs (fc) or the
+    classes of a LabelSpace of the output's dimension (hrr).
     """
     if model.head == "hrr":
         if space is None:
             raise ValueError("the hrr head requires a LabelSpace")
         if space.dim != model.out_dim:
-            raise ValueError(
-                f"label space dim {space.dim} != model output {model.out_dim}"
-            )
-        if space.n_classes != dataset.n_labels:
-            raise ValueError(
-                f"dataset has {dataset.n_labels} labels, label space has {space.n_classes} classes"
-            )
-    elif model.head == "fc" and dataset.n_labels != model.out_dim:
+            raise ValueError(f"label space dim {space.dim} != model output {model.out_dim}")
+    if dataset.n_features != model.layer_sizes[0]:
         raise ValueError(
-            f"dataset has {dataset.n_labels} labels, model outputs {model.out_dim}"
+            f"{name} has {dataset.n_features} features, model input has {model.layer_sizes[0]}"
         )
+    hrr = model.head == "hrr"
+    labels = space.n_classes if hrr else model.out_dim
+    if dataset.n_labels != labels:
+        owner = f"label space has {labels} classes" if hrr else f"model outputs {labels}"
+        raise ValueError(f"{name} has {dataset.n_labels} labels, {owner}")
+
+
+def train(model, dataset, config, space=None, val_dataset=None):
+    """Mini-batch training; returns the model and per-epoch statistics.
+
+    The dataset and any validation set must pass check_dataset with the
+    model and label space. Raises TrainingDivergedError as soon as a batch
+    loss is not finite.
+    """
+    check_dataset(model, dataset, space)
+    if val_dataset is not None:
+        check_dataset(model, val_dataset, space, "validation set")
     params = model.weights + model.biases
     decay = [config.weight_decay] * len(model.weights) + [0.0] * len(model.biases)
-    opt = _Adam(params, config.lr, config.beta1, config.beta2, config.adam_eps, decay)
+    opt = _Adam(params, config.lr, _BETA1, _BETA2, _ADAM_EPS, decay)
     class_matrix = None
     if model.head == "hrr" and space.n_classes * space.dim <= 4_000_000:
         class_matrix = space.class_vectors(np.arange(space.n_classes))
@@ -460,10 +461,7 @@ def predict_rankings(model, dataset, space=None, k=5):
         for lo in range(0, dataset.n_examples, 256)
     ]
     out = np.concatenate(outs) if outs else np.zeros((0, model.out_dim))
-    blocks = [(0, out)]
-    if model.head == "hrr":
-        queries = core.unbind(out, space.p)
-        blocks = ((i, queries @ rows.T) for i, rows in space.iter_class_blocks())
+    blocks = labelcodec.score_blocks(space, out) if model.head == "hrr" else [(0, out)]
     return labelcodec.topk(blocks, k).tolist()
 
 

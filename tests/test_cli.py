@@ -390,6 +390,39 @@ class TestTrainEvalCommands:
         ]) == 2
         assert "header" in capsys.readouterr().err
 
+    def test_header_beyond_int64_exits_2(self, tmp_path, capsys):
+        big = tmp_path / "big.txt"
+        big.write_text("1 100000000000000000000000000000 2\n0 99999999999999999999999:1.0\n")
+        assert run_cli([
+            "train", "--data", str(big), "--head", "fc", "--epochs", "1",
+            "--out", str(tmp_path / "x.ckpt"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "hrrkit: line 1: header sizes 1 100000000000000000000000000000 2 exceed int64\n"
+
+    @pytest.mark.parametrize(
+        "head, val_shape, message",
+        [
+            ("fc", (80, 4), "validation set has 80 features, model input has 40"),
+            ("hrr", (80, 4), "validation set has 80 features, model input has 40"),
+            ("fc", (40, 6), "validation set has 6 labels, model outputs 4"),
+            ("hrr", (40, 6), "validation set has 6 labels, label space has 4 classes"),
+        ],
+    )
+    def test_train_rejects_mismatched_validation_data(self, tmp_path, capsys, head, val_shape, message):
+        paths = []
+        for name, shape, seed in (("train.txt", (40, 4), 1), ("val.txt", val_shape, 2)):
+            ds = dataio.synth_generate(32, *shape, labels_per_point=2, seed=seed)
+            paths.append(tmp_path / name)
+            paths[-1].write_text(dataio.serialize_xml_repo(ds), encoding="utf-8")
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli([
+            "train", "--data", str(paths[0]), "--val-data", str(paths[1]), "--head", head,
+            "--d-prime", "16", "--hidden", "8", "--epochs", "1", "--out", str(ckpt),
+        ]) == 2
+        assert capsys.readouterr().err == f"hrrkit: {message}\n"
+        assert not ckpt.exists()
+
     def test_divergence_maps_to_exit_3(self, tmp_path, monkeypatch):
         train_path, _ = write_synth(tmp_path, "train.txt", 16, seed=9)
 

@@ -37,6 +37,29 @@ class TestParse:
         with pytest.raises(dataio.DatasetFormatError, match="line 1"):
             dataio.parse_xml_repo("2 3\n")
 
+    def test_header_sizes_beyond_int64(self):
+        text = "1 100000000000000000000000000000 2\n0 99999999999999999999999:1.0\n"
+        message = "line 1: header sizes 1 100000000000000000000000000000 2 exceed int64"
+        with pytest.raises(dataio.DatasetFormatError, match=message):
+            dataio.parse_xml_repo(text)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0 99999999999999999999999:1.0", "line 2: feature index 99999999999999999999999 outside"),
+            ("0 -99999999999999999999999:1.0", "line 2: feature index -99999999999999999999999 outside"),
+            ("99999999999999999999999 1:1.0", "line 2: label index 99999999999999999999999 outside"),
+        ],
+    )
+    def test_indices_beyond_int64_name_the_line(self, line, message):
+        with pytest.raises(dataio.DatasetFormatError, match=message):
+            dataio.parse_xml_repo(f"1 5 2\n{line}\n")
+
+    def test_largest_int64_header_parses(self):
+        ds = dataio.parse_xml_repo(f"1 {2**63 - 1} 2\n1 {2**63 - 2}:1.0\n")
+        assert ds.n_features == 2**63 - 1
+        np.testing.assert_array_equal(ds.indices, [2**63 - 2])
+
     def test_non_numeric_value(self):
         with pytest.raises(dataio.DatasetFormatError, match="line 2.*non-numeric"):
             dataio.parse_xml_repo("1 2 1\n0 1:abc\n")

@@ -458,6 +458,15 @@ class TestTopk:
         want = sp.class_vectors(np.arange(1100)) @ query
         np.testing.assert_allclose(lb.class_scores(sp, s_hat), want, rtol=1e-12, atol=1e-14)
 
+    def test_score_blocks_of_a_batch_match_class_scores_row_by_row(self):
+        sp = lb.make_label_space(1100, 16, seed=25)
+        s_hat = np.stack([core.sample_standard(16, seed) for seed in range(3)])
+        blocks = list(lb.score_blocks(sp, s_hat))
+        assert [start for start, _ in blocks] == [0, 512, 1024]
+        scores = np.concatenate([block for _, block in blocks], axis=1)
+        want = np.stack([lb.class_scores(sp, row) for row in s_hat])
+        np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-14)
+
     def test_decode_topk_matches_full_argsort_of_class_scores(self):
         sp = lb.make_label_space(1100, 16, seed=24)
         s_hat = core.sample_standard(16, 9)

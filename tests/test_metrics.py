@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_metrics as ref
 from hrrkit import metrics as mx
 
 
@@ -135,3 +136,136 @@ class TestReport:
     def test_mean_over_examples(self):
         report = mx.metric_report([[0], [1]], [[0], [0]], ks=(1,))
         assert report["P@1"] == pytest.approx(0.5)
+
+
+def outcome(fn, *args, **kwargs):
+    """("value", result) or the raised exception's (type, message)."""
+    try:
+        return "value", fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the comparison is the point
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] != "value":
+        assert got == want
+    elif isinstance(want[1], dict):
+        assert list(got[1]) == list(want[1])
+        for key, value in want[1].items():
+            assert abs(got[1][key] - value) <= 1e-12 * max(1.0, abs(value)), key
+    else:
+        assert abs(got[1] - want[1]) <= 1e-12 * max(1.0, abs(want[1]))
+
+
+def ragged_case(rng):
+    """Rankings of any length (some empty), truths of 0-5 labels, 1-3 ks in any order."""
+    n_labels, n = int(rng.integers(1, 30)), int(rng.integers(0, 12))
+    rankings = [rng.permutation(n_labels)[: rng.integers(0, n_labels + 1)].tolist() for _ in range(n)]
+    truths = [
+        rng.choice(n_labels, size=rng.integers(0, min(n_labels, 5) + 1), replace=False).tolist()
+        for _ in range(n)
+    ]
+    props = rng.uniform(0.05, 1.0, n_labels) if rng.random() < 0.6 else None
+    ks = [int(k) for k in rng.choice(np.arange(1, 8), size=rng.integers(1, 4), replace=False)]
+    return rankings, truths, props, ks
+
+
+def assert_matches_reference(rankings, truths, props, ks):
+    assert_same_outcome(
+        outcome(mx.metric_report, rankings, truths, props, ks=ks),
+        outcome(ref.metric_report, rankings, truths, props, ks=ks),
+    )
+    for ranked, truth in zip(rankings[:2], truths[:2]):  # each a batch of one
+        for k in [*ks, len(ranked) + 1]:
+            for name in ("precision_at_k", "ndcg_at_k"):
+                assert_same_outcome(
+                    outcome(getattr(mx, name), ranked, truth, k),
+                    outcome(getattr(ref, name), ranked, truth, k),
+                )
+            for name in ("psp_at_k", "psndcg_at_k"):
+                if props is not None:
+                    assert_same_outcome(
+                        outcome(getattr(mx, name), ranked, truth, props, k),
+                        outcome(getattr(ref, name), ranked, truth, props, k),
+                    )
+
+
+class TestAgainstReference:
+    """The batched path against a verbatim copy of the per-example loops."""
+
+    def test_random_ragged_corpus(self):
+        rng = np.random.default_rng(2016)
+        for _ in range(400):
+            assert_matches_reference(*ragged_case(rng))
+
+    def test_random_corpus_with_faults(self):
+        # duplicates, propensities outside (0, 1] and k < 1 planted at random,
+        # so the first error raised must be the reference's first error too
+        rng = np.random.default_rng(2017)
+        for _ in range(400):
+            rankings, truths, props, ks = ragged_case(rng)
+            if rankings and rng.random() < 0.3:
+                row = rankings[rng.integers(len(rankings))]
+                row += row[:1]
+            if props is not None and rng.random() < 0.3:
+                props[rng.integers(props.size)] = rng.choice([0.0, -0.5, 1.5, np.nan])
+            if rng.random() < 0.1:
+                ks.insert(int(rng.integers(len(ks) + 1)), int(rng.integers(-1, 1)))
+            assert_matches_reference(rankings, truths, props, ks)
+
+    def test_unsorted_ks_and_short_rankings(self):
+        rankings = [[0, 1, 2, 3, 4], [4, 3], [], [2, 0, 1], [1]]
+        truths = [[1, 3], [3, 4], [0], [], [1, 2]]
+        props = np.array([0.5, 0.25, 1.0, 0.125, 0.75])
+        assert_matches_reference(rankings, truths, props, [5, 1, 3])
+        report = mx.metric_report(rankings, truths, props, ks=(5, 1, 3))
+        assert report["evaluated_examples"] == 4
+        assert list(report)[1:5] == ["P@5", "nDCG@5", "PSP@5", "PSnDCG@5"]
+
+    @pytest.mark.parametrize(
+        "rankings, truths, props, ks, message",
+        [
+            ([[1, 2, 1]], [[1]], None, (1,), "ranked labels must be unique"),
+            ([[0, 1], [1, 0]], [[0], [1]], None, (2, 0), "k must be >= 1, got 0"),
+            ([[0, 1]], [[0]], None, (-1,), "k must be >= 1, got -1"),
+            ([[2, 0]], [[0]], [0.0, 0.5, 0.5], (2,), "propensity for label 0 must be in (0, 1], got 0.0"),
+            ([[2, 0]], [[2]], [0.5, 0.5, 0.0], (2,), "propensity for label 2 must be in (0, 1], got 0.0"),
+            ([[1]], [[1]], [0.5, 1.5], (1,), "propensity for label 1 must be in (0, 1], got 1.5"),
+            ([[1]], [[1]], [0.5, np.nan], (1,), "propensity for label 1 must be in (0, 1], got nan"),
+        ],
+    )
+    def test_report_errors_match(self, rankings, truths, props, ks, message):
+        got = outcome(mx.metric_report, rankings, truths, props, ks=ks)
+        assert got == (ValueError, message)
+        assert got == outcome(ref.metric_report, rankings, truths, props, ks=ks)
+
+    @pytest.mark.parametrize(
+        "ranked, truth, k, message",
+        [
+            ([1, 1], [1], 2, "ranked labels must be unique"),
+            ([3, 1, 3], [], 1, "ranked labels must be unique"),
+            ([0, 1], [0], 0, "k must be >= 1, got 0"),
+            ([0, 1], [0], 3, "k=3 exceeds ranking length 2"),
+            ([], [], 1, "k=1 exceeds ranking length 0"),
+        ],
+    )
+    def test_per_example_errors_match(self, ranked, truth, k, message):
+        props = np.full(4, 0.5)
+        for name in ("precision_at_k", "ndcg_at_k", "psp_at_k", "psndcg_at_k"):
+            args = (ranked, truth, props, k) if name.startswith("ps") else (ranked, truth, k)
+            got = outcome(getattr(mx, name), *args)
+            assert got == (ValueError, message)
+            assert got == outcome(getattr(ref, name), *args)
+
+    def test_propensities_are_read_only_at_hits(self):
+        # a miss, a row shorter than every k and an unlabelled row never read theirs
+        props = np.array([0.5, 0.0, np.nan, 2.0])
+        report = mx.metric_report([[0, 1], [2], [3, 0]], [[0], [2], []], props, ks=(2,))
+        assert report == ref.metric_report([[0, 1], [2], [3, 0]], [[0], [2], []], props, ks=(2,))
+        assert report["PSP@2"] == 1.0
+
+    def test_memory_follows_the_largest_k_not_the_longest_ranking(self):
+        rankings = [list(range(50_000))] + [[0]] * 99
+        report = mx.metric_report(rankings, [[49_999]] * 100, ks=(1,))
+        assert report == ref.metric_report(rankings, [[49_999]] * 100, ks=(1,))

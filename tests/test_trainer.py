@@ -498,6 +498,33 @@ class TestTraining:
             tr.train(model, ds, tr.TrainConfig(epochs=1, seed=39), space=space)
         assert model_params_bytes(model) == before
 
+    @pytest.mark.parametrize(
+        "head, shape, message",
+        [
+            ("fc", (200, 20), "validation set has 200 features, model input has 100"),
+            ("hrr", (200, 20), "validation set has 200 features, model input has 100"),
+            ("fc", (100, 30), "validation set has 30 labels, model outputs 20"),
+            ("hrr", (100, 30), "validation set has 30 labels, label space has 20 classes"),
+        ],
+    )
+    def test_validation_set_must_match_the_model_and_labels(self, head, shape, message):
+        ds = planted(16, seed=40)  # 100 features, 20 labels
+        val = dataio.synth_generate(8, *shape, labels_per_point=2, seed=41)
+        space = lb.make_label_space(20, 32, seed=40) if head == "hrr" else None
+        model = tr.init_model(100, (8,), 32 if head == "hrr" else 20, head, seed=40)
+        before = model_params_bytes(model)
+        with pytest.raises(ValueError, match=message):
+            tr.train(model, ds, tr.TrainConfig(epochs=1, seed=40), space=space, val_dataset=val)
+        assert model_params_bytes(model) == before
+
+    @pytest.mark.parametrize("head", ["fc", "hrr"])
+    def test_training_set_must_have_the_model_features(self, head):
+        ds = dataio.synth_generate(16, 40, 20, labels_per_point=2, seed=42)
+        space = lb.make_label_space(20, 32, seed=42) if head == "hrr" else None
+        model = tr.init_model(100, (8,), 32 if head == "hrr" else 20, head, seed=42)
+        with pytest.raises(ValueError, match="dataset has 40 features, model input has 100"):
+            tr.train(model, ds, tr.TrainConfig(epochs=1, seed=42), space=space)
+
     def test_class_vectors_unchanged_by_training(self):
         ds = planted(128, seed=18)
         space = lb.make_label_space(20, 32, seed=10)
