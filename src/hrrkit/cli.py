@@ -274,8 +274,10 @@ def _read_predictions(path, n_expected, n_labels):
 
 
 def cmd_eval(args):
-    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
     ks = _int_list(args.k)
+    if not ks:
+        raise ValueError(f"--k needs at least one cutoff, got {args.k!r}")
+    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
     params_block = None

@@ -10,8 +10,8 @@ The serializer emits the same dialect byte-for-byte reproducibly.
 
 Parsing reads the file in blocks of lines, converts and checks each block
 with numpy and builds one CSR array store (SparseDataset) from them. A
-block that fails any check is read again line by line, so an error names
-the same first bad line with the same message.
+block that fails any check is then checked line by line, only to word the
+error, which names the first bad line and the first fault on it.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ def _parse_int(token, line_no, what):
         ) from None
 
 
-def _parse_float(token, line_no):
+def _check_float(token, line_no):
     try:
         value = float(token)
     except ValueError:
@@ -124,16 +124,14 @@ def _parse_float(token, line_no):
         ) from None
     if not np.isfinite(value):
         raise DatasetFormatError(f"line {line_no}: non-finite feature value")
-    return value
 
 
 _BLOCK_LINES = 512
 
 
-def _parse_line(line, line_no, d, l, shift):
-    """One example line as a one-row part, checked token by token in line order."""
+def _check_line(line, line_no, d, l, shift):
+    """Raise the first error of one example line, checking tokens in line order."""
     label_field, _, rest = line.rstrip("\n").partition(" ")
-    labels = []
     if label_field:
         for tok in label_field.split(","):
             idx = _parse_int(tok, line_no, "label index") - shift
@@ -141,8 +139,7 @@ def _parse_line(line, line_no, d, l, shift):
                 raise DatasetFormatError(
                     f"line {line_no}: label index {idx} outside [0, {l})"
                 )
-            labels.append(idx)
-    idxs, vals = [], []
+    idxs = []
     for tok in rest.split():
         feat, colon, val = tok.partition(":")
         if not colon:
@@ -155,14 +152,9 @@ def _parse_line(line, line_no, d, l, shift):
                 f"line {line_no}: feature index {idx} outside [0, {d})"
             )
         idxs.append(idx)
-        vals.append(_parse_float(val, line_no))
-    order = np.argsort(idxs, kind="stable")
-    idxs = np.asarray(idxs, dtype=np.int64)[order]
-    vals = np.asarray(vals, dtype=np.float64)[order]
-    if idxs.size and np.any(np.diff(idxs) == 0):
+        _check_float(val, line_no)
+    if len(set(idxs)) < len(idxs):
         raise DatasetFormatError(f"line {line_no}: duplicate feature index")
-    labels = np.unique(np.asarray(labels, dtype=np.int64))
-    return [idxs.size], idxs, vals, [labels.size], labels
 
 
 def _ascending_within(values, counts):
@@ -183,9 +175,8 @@ def _line_sort(values, counts):
 def _parse_block(lines, d, l, shift):
     """The block's part of the store, or None if any check fails.
 
-    Accepts only what _parse_line accepts and returns the same arrays for
-    it: labels sorted and made unique, features sorted by index (a
-    duplicate feature index falls back to _parse_line for its error).
+    Refuses a block exactly when _check_line raises for one of its lines.
+    A row's labels are sorted and made unique, its features sorted by index.
     """
     label_fields, tokens, n_labels, n_feats = [], [], [], []
     for line in lines:
@@ -265,9 +256,9 @@ def parse_xml_repo(source, one_based=False):
         fit = max(0, min(len(block), n - count))
         if fit:
             part = _parse_block(block[:fit], d, l, shift)
-            if part is None:
-                rows = [_parse_line(x, line_no + i, d, l, shift) for i, x in enumerate(block[:fit])]
-                part = tuple(map(np.concatenate, zip(*rows)))
+            if part is None:  # some line fails a check: the first one raises here
+                for i, line in enumerate(block[:fit], start=line_no):
+                    _check_line(line, i, d, l, shift)
             for column, new in zip(columns, part):
                 column.resize(column.size + len(new), refcheck=False)
                 column[column.size - len(new) :] = new
@@ -275,7 +266,7 @@ def parse_xml_repo(source, one_based=False):
         for i, line in enumerate(block[fit:], start=line_no + fit):
             if not line.strip() and count == n:
                 continue
-            _parse_line(line, i, d, l, shift)
+            _check_line(line, i, d, l, shift)
             count += 1
         line_no += len(block)
     if count != n:

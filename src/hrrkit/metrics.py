@@ -24,11 +24,12 @@ def _evaluate(rankings, truths, propensities, ks, strict):
     or always if strict. One (n x k) hit matrix and cumulative gains along it
     give every k; each k checks its rows before it takes their values.
     """
-    pairs = list(zip(rankings, truths))
-    ragged = [[pair[i] for pair in pairs] for i in (0, 1)]  # flattened once, into CSR arrays
+    ragged = [list(rankings), list(truths)]  # flattened once, into CSR arrays
+    n, kv = len(ragged[0]), np.asarray(ks, dtype=np.int64)
+    if len(ragged[1]) != n:
+        raise ValueError(f"{n} rankings, {len(ragged[1])} truth sets")
     lengths, truth_sizes = (np.fromiter(map(len, rows), np.int64, len(rows)) for rows in ragged)
     ranked, truth = (np.fromiter(itertools.chain.from_iterable(rows), np.int64) for rows in ragged)
-    n, kv = len(pairs), np.asarray(ks, dtype=np.int64)
     both = np.concatenate([ranked, truth, [0]])
     lo, span = both.min(), both.max() - both.min() + 1
     # row * span + (label - lo) keys a label to its row; sorted keys run by (row, label)

@@ -121,6 +121,8 @@ def init_model(n_features, hidden, out_dim, head, seed):
     """Kaiming-uniform weights (fan-in scaled for ReLU), zero biases."""
     if head not in ("fc", "hrr"):
         raise ValueError(f"head must be 'fc' or 'hrr', got {head!r}")
+    if not len(hidden):
+        raise ValueError("hidden must name at least one layer width")
     sizes = [int(n_features), *map(int, hidden), int(out_dim)]
     rng = np.random.Generator(np.random.PCG64(seed))
     weights, biases = [], []
@@ -138,30 +140,20 @@ def _forward_sparse(model, batch, dropout=0.0, rng=None):
     CSR row at a time; later layers are dense matrix products.
     """
     w1, b1 = model.weights[0], model.biases[0]
-    z1 = np.tile(b1, (batch.n_examples, 1))
+    z = np.tile(b1, (batch.n_examples, 1))
     for row, (lo, hi) in enumerate(zip(batch.indptr[:-1].tolist(), batch.indptr[1:].tolist())):
         if hi > lo:
-            z1[row] += batch.values[lo:hi] @ w1[batch.indices[lo:hi]]
-    acts = [None, z1]
-    a = np.maximum(z1, 0.0)
-    masks = [None]
-    a, mask = _dropout(a, dropout, rng)
-    masks.append(mask)
-    for w, b in zip(model.weights[1:-1], model.biases[1:-1]):
-        z = a @ w + b
-        acts.append(z)
-        a = np.maximum(z, 0.0)
-        a, mask = _dropout(a, dropout, rng)
+            z[row] += batch.values[lo:hi] @ w1[batch.indices[lo:hi]]
+    acts, masks = [], []  # per hidden layer: output after ReLU and dropout; mask or None
+    for w, b in zip(model.weights[1:], model.biases[1:]):
+        a, mask = np.maximum(z, 0.0), None
+        if dropout > 0.0 and rng is not None:
+            mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
+            a = a * mask
+        acts.append(a)
         masks.append(mask)
-    out = a @ model.weights[-1] + model.biases[-1]
-    return out, acts, masks
-
-
-def _dropout(a, rate, rng):
-    if rate <= 0.0 or rng is None:
-        return a, None
-    mask = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    return a * mask, mask
+        z = a @ w + b
+    return z, acts, masks
 
 
 def forward(model, feat_idx, feat_val):
@@ -186,21 +178,15 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
     """
     n_layers = len(model.weights)
     grads_w, grads_b = [None] * n_layers, [None] * n_layers
-    relu_acts = []
-    for z, mask in zip(acts[1:], masks[1:]):
-        a = np.maximum(z, 0.0)
-        if mask is not None:
-            a = a * mask
-        relu_acts.append(a)
     delta = grad_out
     for layer in range(n_layers - 1, 0, -1):
-        a_prev = relu_acts[layer - 1]
-        grads_w[layer] = a_prev.T @ delta
+        a, mask = acts[layer - 1], masks[layer - 1]
+        grads_w[layer] = a.T @ delta
         grads_b[layer] = delta.sum(axis=0)
         da = delta @ model.weights[layer].T
-        if masks[layer] is not None:
-            da = da * masks[layer]
-        delta = da * (acts[layer] > 0)
+        if mask is not None:
+            da = da * mask
+        delta = da * (a > 0)
     grads_b[0] = delta.sum(axis=0)
     rows, cols = np.unique(batch.indices, return_inverse=True)
     x = np.zeros((batch.n_examples, rows.size))  # X_b; unique features in a row: one write a cell

@@ -366,6 +366,32 @@ class TestTrainEvalCommands:
         assert f"hrrkit: {preds}:{message}\n" == capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode", ["--checkpoint", "--predictions"])
+    def test_eval_empty_k_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, mode):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        source = tmp_path / "source"
+        if mode == "--checkpoint":
+            tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), source)
+        else:
+            source.write_text("0\n1\n2\n3\n", encoding="utf-8")
+        monkeypatch.setattr(dataio, "parse_xml_repo", lambda *a, **k: pytest.fail("data parsed"))
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(data_path), mode, str(source), "--k", "", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "hrrkit: --k needs at least one cutoff, got ''\n"
+        assert not out.exists()
+
+    def test_train_without_hidden_layers_exits_2(self, tmp_path, capsys):
+        train_path, _ = write_synth(tmp_path, "train.txt", 16, seed=4)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli([
+            "train", "--data", str(train_path), "--head", "fc", "--hidden", "",
+            "--epochs", "1", "--out", str(ckpt),
+        ]) == 2
+        assert capsys.readouterr().err == "hrrkit: hidden must name at least one layer width\n"
+        assert not ckpt.exists()
+
     def test_eval_shape_mismatch_exits_2(self, tmp_path, capsys):
         train_path, _ = write_synth(tmp_path, "train.txt", 64, seed=7)
         ckpt = tmp_path / "m.ckpt"

@@ -154,6 +154,41 @@ def block_test_lines(n=1300, seed=8):
     return dataio.serialize_xml_repo(ds).split("\n")[:-1]
 
 
+FUZZ_D, FUZZ_L = 40, 6
+# Tokens that fail, or that int() and float() read in unusual ways: Unicode
+# digits, underscores, signs, padding, integers beyond int64, overflow.
+ODD_INDICES = ["-1", "40", "6", "\u096c", "\u0661", "1_0", "+2", "02", "x", "", "1.0", "_1", "\t3",
+               "99999999999999999999999", "-99999999999999999999999",
+               "9223372036854775807", "-9223372036854775808", "9223372036854775808"]
+ODD_VALUES = ["-0.0", "1e400", "-1e400", "1e-400", "nan", "-inf", "inf", "\u0661.\u0665",
+              "1_0", "x", "", "0x1", "2:3", "1e"]
+
+
+def fuzz_lines(rng, n_lines, shift):
+    """Example lines, mostly well formed, with odd tokens, tabs, "\\r\\n"
+    endings, blank lines, unsorted and repeated indices sprinkled in."""
+    odd = lambda p: rng.random() < p
+    pick = lambda pool: pool[rng.integers(len(pool))]
+    lines = []
+    for _ in range(n_lines):
+        if odd(0.05):
+            lines.append(pick(["\n", " \n", "\r\n"]))
+            continue
+        labels = [
+            pick(ODD_INDICES) if odd(0.03) else str(rng.integers(FUZZ_L) + shift)
+            for _ in range(rng.integers(4))
+        ]
+        feats = []
+        for _ in range(rng.integers(5)):
+            idx = pick(ODD_INDICES) if odd(0.02) else str(rng.integers(FUZZ_D + 1) + shift)
+            val = pick(ODD_VALUES) if odd(0.03) else repr(float(rng.standard_normal()))
+            feats.append(pick(["7", ":", "3:4:5", f"{idx}{val}"]) if odd(0.01) else f"{idx}:{val}")
+        rest = " " + pick([" ", "\t"]).join(feats) if feats else pick(["", " "])
+        line = ",".join(labels) + rest
+        lines.append(line + ("\r\n" if odd(0.1) else "\n"))
+    return lines
+
+
 class TestBlockParse:
     def assert_matches_reference(self, text, one_based=False):
         n, d, l, want = reference_parse(text, one_based=one_based)
@@ -231,9 +266,9 @@ class TestBlockParse:
         lines[300] = "5,5,5 9:0.5 3:1.0"  # duplicate labels only
         lines[400] = " 2:1.0 1:2.0"  # no labels
         calls = []
-        line_parser = dataio._parse_line
+        line_checker = dataio._check_line
         monkeypatch.setattr(
-            dataio, "_parse_line", lambda *a: calls.append(a[1]) or line_parser(*a)
+            dataio, "_check_line", lambda *a: calls.append(a[1]) or line_checker(*a)
         )
         self.assert_matches_reference("\n".join(lines) + "\n")
         assert calls == []
@@ -251,6 +286,28 @@ class TestBlockParse:
         with pytest.raises(dataio.DatasetFormatError) as got:
             dataio.parse_xml_repo(text)
         assert str(got.value) == str(want.value) == f"line {bad + 1}: duplicate feature index"
+
+    @pytest.mark.parametrize("one_based", [False, True])
+    def test_block_parser_refuses_exactly_where_the_reference_raises(self, one_based):
+        rng = np.random.default_rng(11 + one_based)
+        refused = []
+        for _ in range(1500):
+            lines = fuzz_lines(rng, rng.integers(1, 7), int(one_based))
+            text = f"{len(lines)} {FUZZ_D} {FUZZ_L}\n" + "".join(lines)
+            try:
+                want = reference_parse(text, one_based=one_based)[3]
+            except dataio.DatasetFormatError as exc:
+                want = str(exc)
+            part = dataio._parse_block(lines, FUZZ_D, FUZZ_L, int(one_based))
+            assert (part is None) == isinstance(want, str), text
+            refused.append(part is None)
+            if part is None:
+                with pytest.raises(dataio.DatasetFormatError) as got:
+                    dataio.parse_xml_repo(text, one_based=one_based)
+                assert str(got.value) == want
+            else:
+                assert_rows_equal(dataio.parse_xml_repo(text, one_based=one_based).examples, want)
+        assert 0.3 < np.mean(refused) < 0.7
 
     def test_extra_line_after_declared_count(self):
         lines = block_test_lines(n=600)
@@ -284,21 +341,18 @@ class TestStore:
         "0,1,2,3 0:1.0 1:1.0 2:1.0 3:1.0 4:1.0 5:1.0\n2 4:0.25\n1 3:3.0\n"
     )
 
-    def test_rows_equal_the_line_parser_on_block_and_fallback_paths(self, monkeypatch):
+    def test_rows_equal_the_reference_parser_across_blocks(self, monkeypatch):
         lines = TestBlockParse.reorder_lines(block_test_lines(), "shuffled")
         lines[5] = " " + lines[5].partition(" ")[2]  # no labels
-        lines[700] = ""  # empty example, in the block read line by line
+        lines[700] = ""  # empty example, in the second block
         block_parser, blocks = dataio._parse_block, []
-
-        def second_block_line_by_line(lines, *args):
-            blocks.append(len(lines))
-            return None if len(blocks) == 2 else block_parser(lines, *args)
-
-        monkeypatch.setattr(dataio, "_parse_block", second_block_line_by_line)
-        ds = dataio.parse_xml_repo("\n".join(lines) + "\n")
+        monkeypatch.setattr(
+            dataio, "_parse_block", lambda ls, *a: blocks.append(len(ls)) or block_parser(ls, *a)
+        )
+        text = "\n".join(lines) + "\n"
+        ds = dataio.parse_xml_repo(text)
         assert blocks == [512, 512, 276]
-        parts = [dataio._parse_line(line, i, 60, 12, 0) for i, line in enumerate(lines[1:], 2)]
-        assert_rows_equal(ds.examples, [(idx, val, labels) for _, idx, val, _, labels in parts])
+        assert_rows_equal(ds.examples, reference_parse(text)[3])
 
     @pytest.mark.parametrize(
         "rows",

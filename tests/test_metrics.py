@@ -137,6 +137,17 @@ class TestReport:
         report = mx.metric_report([[0], [1]], [[0], [0]], ks=(1,))
         assert report["P@1"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "rankings, truths, message",
+        [
+            ([[1], [2]], [[1]], "2 rankings, 1 truth sets"),
+            ([[1]], [[1], [2]], "1 rankings, 2 truth sets"),
+        ],
+    )
+    def test_unequal_counts_raise(self, rankings, truths, message):
+        with pytest.raises(ValueError, match=message):
+            mx.metric_report(rankings, truths, ks=(1,))
+
 
 def outcome(fn, *args, **kwargs):
     """("value", result) or the raised exception's (type, message)."""

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference_backward as ref
 from hrrkit import core
 from hrrkit import data as dataio
 from hrrkit import labels as lb
@@ -93,7 +94,12 @@ class TestForward:
         rng = np.random.default_rng(4)
         batch = dataset_of(10, 4, [(np.arange(10), rng.standard_normal(10), [0])])
         _, acts, masks = tr._forward_sparse(model, batch)
-        assert np.all(np.maximum(acts[1], 0.0) >= 0.0)
+        assert len(acts) == 1 and np.all(acts[0] >= 0.0)
+
+    @pytest.mark.parametrize("hidden", [(), []])
+    def test_model_without_hidden_layers_raises(self, hidden):
+        with pytest.raises(ValueError, match="hidden must name at least one layer width"):
+            tr.init_model(6, hidden, 6, "fc", seed=5)
 
     def test_out_of_range_feature_raises(self):
         model = tr.init_model(6, (4,), 3, "fc", seed=5)
@@ -172,6 +178,28 @@ class TestBackward:
                 denom = max(np.linalg.norm(fd), 1e-12)
                 assert np.linalg.norm(flat_g - fd) / denom < 1e-4
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_cached_backward_equals_the_recompute_bit_for_bit(self, dropout):
+        # A row without features makes the first pre-activation exactly the
+        # bias, here 0, -0 and the smallest subnormal at three units.
+        rows = [(ex.feat_idx, ex.feat_val, ex.labels) for ex in planted(24, seed=40).examples]
+        batch = dataset_of(100, 20, rows + [([], [], [])])
+        model = tr.init_model(100, (16, 12, 8), 20, "fc", seed=41)
+        model.biases[0][:3] = [0.0, -0.0, 5e-324]
+        out, acts, masks = tr._forward_sparse(model, batch, dropout, np.random.default_rng(42))
+        ref_out, ref_acts, ref_masks = ref._forward_sparse(
+            model, batch, dropout, np.random.default_rng(42)
+        )
+        assert out.tobytes() == ref_out.tobytes()
+        grad_out = np.random.default_rng(43).standard_normal(out.shape)
+        grad_out[::5] = -0.0
+        grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
+        ref_w, ref_b = ref._backward_sparse(model, batch, ref_acts, ref_masks, grad_out)
+        assert grads_w[0].rows.tobytes() == ref_w[0].rows.tobytes()
+        got = [grads_w[0].values, *grads_w[1:], *grads_b]
+        want = [ref_w[0].values, *ref_w[1:], *ref_b]
+        assert all(g.dtype == r.dtype and g.tobytes() == r.tobytes() for g, r in zip(got, want))
+
     def test_zero_output_gradient_gives_zero_parameter_gradient(self):
         ds = planted(4, seed=10)
         model = tr.init_model(100, (8,), 5, "fc", seed=11)
@@ -186,7 +214,7 @@ class TestBackward:
         out, acts, masks = tr._forward_sparse(model, ds)
         grad_out = np.random.default_rng(21).standard_normal(out.shape)
         grads_w, grads_b = tr._backward_sparse(model, ds, acts, masks, grad_out)
-        delta = (grad_out @ model.weights[1].T) * (acts[1] > 0)
+        delta = (grad_out @ model.weights[1].T) * (acts[0] > 0)
         reference = np.zeros_like(model.weights[0])
         for row, ex in enumerate(ds.examples):
             reference[ex.feat_idx] += np.outer(ex.feat_val, delta[row])
