@@ -213,8 +213,10 @@ def cmd_response(args):
 
 
 def cmd_train(args):
-    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
     hidden = _int_list(args.hidden)
+    if not hidden:
+        raise ValueError(f"--hidden needs at least one layer width, got {args.hidden!r}")
+    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
     label_seed = args.label_seed if args.label_seed is not None else args.seed
     if args.head == "hrr":
         out_dim = args.d_prime

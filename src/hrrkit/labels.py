@@ -26,12 +26,22 @@ SeedSequence state words of all requested classes in one vectorized pass
 (`seeds.seed_sequence_words`) instead of building a SeedSequence per
 class; the batched path reproduces numpy's per-class construction bit for
 bit.
+
+Decoding streams the classes in blocks of _CLASS_BLOCK
+(`LabelSpace.iter_class_blocks`). When there are two or more blocks and
+the process may use two or more CPUs, one worker thread regenerates block
+i + 1 while the caller scores block i, so regeneration and the score
+product run on different cores; the blocks, and every score and ranking
+made from them, are the same bits as one block at a time.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import dataclasses
 import functools
+import os
 
 import numpy as np
 
@@ -77,7 +87,9 @@ class LabelSpace:
 
     Class vectors are deterministic functions of (seed, class index), made
     on demand, not stored; their sum is cached on first access. Sharing
-    across threads is safe: a first-access race computes the same sum twice.
+    across threads is safe: the space is read-only after construction, each
+    iter_class_blocks iterator owns its worker thread, and a first-access
+    race computes the same sum twice.
     """
 
     def __init__(self, n_classes, dim, seed):
@@ -122,10 +134,30 @@ class LabelSpace:
         return self.class_vectors([index])[0]
 
     def iter_class_blocks(self):
-        """Yield (start, vectors) chunks covering all classes in order."""
-        for start in range(0, self.n_classes, _CLASS_BLOCK):
-            stop = min(start + _CLASS_BLOCK, self.n_classes)
-            yield start, self.class_vectors(np.arange(start, stop))
+        """Yield (start, vectors) chunks covering all classes in order.
+
+        With two or more blocks and two or more usable CPUs, one worker
+        thread makes block i + 1 while the caller uses block i, so at most
+        one block is in flight; otherwise each block is made when it is
+        asked for. The blocks are class_vectors(arange(start, stop)) bit for
+        bit either way. An error in the worker is raised where its block is
+        taken. Closing the iterator early waits for the block in flight and
+        stops the worker.
+        """
+        starts = range(0, self.n_classes, _CLASS_BLOCK)
+        pool = None
+        if len(starts) > 1 and _usable_cpus() > 1:
+            pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+        with pool or contextlib.nullcontext():
+            pending = None
+            for start in starts:
+                rows = self._class_block(start) if pending is None else pending.result()
+                if pool is not None and start + _CLASS_BLOCK < self.n_classes:
+                    pending = pool.submit(self._class_block, start + _CLASS_BLOCK)
+                yield start, rows
+
+    def _class_block(self, start):
+        return self.class_vectors(np.arange(start, min(start + _CLASS_BLOCK, self.n_classes)))
 
     @functools.cached_property
     def all_classes(self):
@@ -138,6 +170,13 @@ class LabelSpace:
             raise IndexError(
                 f"class index {bad} out of range [0, {self.n_classes})"
             )
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def make_label_space(n_classes, dim, seed):
@@ -307,7 +346,9 @@ def topk(blocks, k):
                 best[rows], index[rows] = top
             else:
                 best, index = top
-        # views of the block die with it, before the producer makes the next
+        # drop the block and its views before asking for the next, so two
+        # score blocks are never alive at once (the next block's class
+        # vectors may already be in the making on the producer's thread)
         block = scores = None
     return index
 

@@ -525,7 +525,8 @@ def load_checkpoint(path):
     A file cut short raises ValueError naming the path, the section that is
     incomplete, and the expected and actual byte counts; a file with bytes
     past the last layer raises ValueError naming the path, the expected
-    size and the actual file size.
+    size and the actual file size; a header with fewer than three layer
+    sizes (no hidden layer) raises ValueError naming the path and the count.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -538,6 +539,11 @@ def load_checkpoint(path):
                 f"unsupported checkpoint version {header.get('format_version')}"
             )
         sizes = header["layer_sizes"]
+        if len(sizes) < 3:
+            raise ValueError(
+                f"checkpoint {path} has {len(sizes)} layer sizes; a model needs at "
+                f"least 3 (input, hidden, output)"
+            )
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             weights.append(_read_exact(fh, (fan_in, fan_out), "<f8", path, f"layer {i} weights"))

@@ -389,8 +389,36 @@ class TestTrainEvalCommands:
             "train", "--data", str(train_path), "--head", "fc", "--hidden", "",
             "--epochs", "1", "--out", str(ckpt),
         ]) == 2
-        assert capsys.readouterr().err == "hrrkit: hidden must name at least one layer width\n"
+        assert capsys.readouterr().err == "hrrkit: --hidden needs at least one layer width, got ''\n"
         assert not ckpt.exists()
+
+    def test_train_empty_hidden_exits_2_before_any_work(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        ckpt = tmp_path / "x.ckpt"
+        assert run_cli([
+            "train", "--data", str(missing), "--head", "fc", "--hidden", "", "--out", str(ckpt),
+        ]) == 2
+        assert capsys.readouterr().err == "hrrkit: --hidden needs at least one layer width, got ''\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("sizes", [[100, 20], [100]])
+    def test_eval_checkpoint_with_fewer_than_three_layer_sizes_exits_2(
+        self, tmp_path, capsys, sizes
+    ):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        ckpt = tmp_path / "m.ckpt"
+        rng = np.random.default_rng(1)
+        tr.save_checkpoint(tr.MlpModel([rng.standard_normal((100, 20))], [np.zeros(20)], "fc"), ckpt)
+        inflate_layer_sizes(ckpt, sizes)
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(data_path), "--checkpoint", str(ckpt), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hrrkit: checkpoint {ckpt} has {len(sizes)} layer sizes; a model needs at "
+            f"least 3 (input, hidden, output)\n"
+        )
+        assert not out.exists()
 
     def test_eval_shape_mismatch_exits_2(self, tmp_path, capsys):
         train_path, _ = write_synth(tmp_path, "train.txt", 64, seed=7)

@@ -1,12 +1,17 @@
 """Tests for the dense label encoding, query loss, and decoders."""
 
+import os
+import sys
+import threading
 import weakref
 
 import numpy as np
 import pytest
 
 from hrrkit import core
+from hrrkit import data as dataio
 from hrrkit import labels as lb
+from hrrkit import trainer as tr
 
 
 def encode_direct(space, present):
@@ -111,6 +116,122 @@ class TestBatchedClassVectors:
         single = sp.class_vectors(7)
         assert single.shape == (1, 64)
         np.testing.assert_array_equal(sp.class_vector(7), single[0])
+
+
+def pin_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def usable_cpus(request, monkeypatch):
+    pin_cpus(monkeypatch, request.param)
+    return request.param
+
+
+def serial_class_blocks(space):
+    """The one-block-at-a-time producer, the reference for iter_class_blocks."""
+    for start in range(0, space.n_classes, lb._CLASS_BLOCK):
+        stop = min(start + lb._CLASS_BLOCK, space.n_classes)
+        yield start, space.class_vectors(np.arange(start, stop))
+
+
+class TestClassBlockProducer:
+    @pytest.mark.parametrize("n", [lb._CLASS_BLOCK - 12, 2 * lb._CLASS_BLOCK + 300])
+    def test_blocks_are_class_vectors_bit_for_bit(self, n, usable_cpus):
+        sp = lb.make_label_space(n, 48, seed=31)
+        blocks = list(sp.iter_class_blocks())
+        assert [start for start, _ in blocks] == list(range(0, n, lb._CLASS_BLOCK))
+        for start, rows in blocks:
+            want = sp.class_vectors(np.arange(start, min(start + lb._CLASS_BLOCK, n)))
+            assert rows.shape == want.shape
+            assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+
+    def test_closing_a_partly_consumed_iterator_stops_the_worker(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        sp = lb.make_label_space(4 * lb._CLASS_BLOCK, 16, seed=32)
+        before = threading.active_count()
+        blocks = sp.iter_class_blocks()
+        next(blocks)
+        next(blocks)
+        assert threading.active_count() == before + 1  # the worker, one block ahead
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_worker_error_reaches_the_caller_and_leaves_no_thread(self, usable_cpus, monkeypatch):
+        original = lb.LabelSpace.class_vectors
+        raised_on = []
+
+        def failing(self, indices):
+            if np.atleast_1d(indices)[0] == 2 * lb._CLASS_BLOCK:
+                raised_on.append(threading.current_thread())
+                raise RuntimeError("block 2 failed")
+            return original(self, indices)
+
+        monkeypatch.setattr(lb.LabelSpace, "class_vectors", failing)
+        sp = lb.make_label_space(3 * lb._CLASS_BLOCK + 5, 16, seed=33)
+        before = threading.active_count()
+        starts = []
+        with pytest.raises(RuntimeError, match="^block 2 failed$"):
+            for start, _ in sp.iter_class_blocks():
+                starts.append(start)
+        assert starts == [0, lb._CLASS_BLOCK]
+        assert (raised_on == [threading.main_thread()]) == (usable_cpus == 1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n, cpus", [(3 * lb._CLASS_BLOCK, 1), (lb._CLASS_BLOCK, 2)])
+    def test_one_cpu_or_one_block_starts_no_thread(self, n, cpus, monkeypatch):
+        pin_cpus(monkeypatch, cpus)
+        sp = lb.make_label_space(n, 16, seed=34)
+        before = threading.active_count()
+        counts = [threading.active_count() for _ in sp.iter_class_blocks()]
+        assert counts == [before] * (n // lb._CLASS_BLOCK)
+
+    def test_cpu_count_stands_in_without_an_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        sp = lb.make_label_space(3 * lb._CLASS_BLOCK, 16, seed=35)
+        before = threading.active_count()
+        assert [threading.active_count() for _ in sp.iter_class_blocks()] == [before] * 3
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        blocks = sp.iter_class_blocks()
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+
+    def test_predict_rankings_equal_the_serial_producer(self, usable_cpus, monkeypatch):
+        n_labels, d = 2 * lb._CLASS_BLOCK + 76, 64
+        ds = dataio.synth_generate(40, 3 * n_labels, n_labels, 3, seed=36, noise=0.1)
+        sp = lb.make_label_space(n_labels, d, seed=37)
+        model = tr.init_model(ds.n_features, (32,), d, "hrr", seed=38)
+        got = tr.predict_rankings(model, ds, space=sp, k=25)
+        monkeypatch.setattr(lb.LabelSpace, "iter_class_blocks", serial_class_blocks)
+        assert got == tr.predict_rankings(model, ds, space=sp, k=25)
+
+    def test_threads_sharing_one_space_each_get_every_block(self, monkeypatch):
+        # four callers, each with its own worker, on two CPUs' worth of threads
+        pin_cpus(monkeypatch, 2)
+        sp = lb.make_label_space(3 * lb._CLASS_BLOCK + 40, 16, seed=39)
+        s_hat = np.stack([core.sample_standard(16, seed) for seed in range(5)])
+        want = lb.topk(lb.score_blocks(sp, s_hat), 30)
+        results = [None] * 4
+
+        def decode(slot):
+            results[slot] = lb.topk(lb.score_blocks(sp, s_hat), 30)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=decode, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            np.testing.assert_array_equal(got, want)
 
 
 class TestEncode:

@@ -814,6 +814,27 @@ class TestCheckpoint:
         tr.save_checkpoint(model, other)
         assert other.read_bytes() == path.read_bytes()
 
+    def test_fewer_than_three_layer_sizes_raise(self, tmp_path):
+        # a one-layer model (two sizes, a whole payload) and a header of one size
+        linear = tmp_path / "linear.ckpt"
+        rng = np.random.default_rng(0)
+        tr.save_checkpoint(tr.MlpModel([rng.standard_normal((12, 4))], [np.zeros(4)], "fc"), linear)
+        empty = tmp_path / "empty.ckpt"
+        tr.save_checkpoint(tr.init_model(12, (6,), 4, "fc", seed=2), empty)
+        blob = empty.read_bytes()
+        hlen = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12 : 12 + hlen])
+        header["layer_sizes"] = [6]
+        text = json.dumps(header).encode()
+        empty.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen :])
+        for path, count in ((linear, 2), (empty, 1)):
+            with pytest.raises(ValueError) as info:
+                tr.load_checkpoint(path)
+            assert str(info.value) == (
+                f"checkpoint {path} has {count} layer sizes; a model needs at least 3 "
+                f"(input, hidden, output)"
+            )
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 16)
