@@ -24,6 +24,7 @@ projected kind's Monte-Carlo estimates are checked against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 import warnings
@@ -31,7 +32,7 @@ import warnings
 import numpy as np
 
 from . import core
-from .seeds import mix64
+from .seeds import mix64, run_ahead
 from .vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 __all__ = [
@@ -147,32 +148,51 @@ def _statement(kind, xs, ys):
 
 
 def _unit(rows):
-    return rows / (np.linalg.norm(rows, axis=1, keepdims=True) + core.COSINE_EPS)
+    # in place: every caller owns rows
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True) + core.COSINE_EPS
+    return rows
 
 
 def _trial_errors(kind, d, n, base):
     # Items whose best distractor is strictly more similar than the true value.
+    # Each array is dropped after its last use and the distractors are drawn
+    # last, so a trial holds at most three (n, d)-sized arrays at once.
     if kind in (VsaKind.HRR_NAIVE, VsaKind.HRR_PROJECTED):
         unitary = kind is VsaKind.HRR_PROJECTED
-        xs, ys, zs = (next(core.sample_spectra(d, mix64(base, i), n, unitary)) for i in range(3))
-        s = (xs * ys).sum(axis=0)
-        xhat = core.unbind_spectra(s, ys, exact=not unitary)
-        xs, xhat, zs = (core.parseval_rows(v, d) for v in (xs, xhat, zs))
+        draw = lambda i: next(core.sample_spectra(d, mix64(base, i), n, unitary))
+        rows = lambda spec: core.parseval_rows(spec, d)
+        xs, ys = draw(0), draw(1)
+        xhat = core.unbind_spectra((xs * ys).sum(axis=0), ys, exact=not unitary)
     else:
-        xs, ys, zs = (vsa_sample(kind, d, mix64(base, i), count=n) for i in range(3))
+        draw = lambda i: vsa_sample(kind, d, mix64(base, i), count=n)
+        rows = lambda v: v
+        xs, ys = draw(0), draw(1)
         xhat = vsa_unbind(kind, _statement(kind, xs, ys), ys)
+    del ys
+    # rebind before _unit, so that its temporary never meets the old array
+    xhat = rows(xhat)
     xhat = _unit(xhat)
-    true_sim = np.sum(xhat * _unit(xs), axis=1)
+    xs = rows(xs)
+    true_sim = np.multiply(xhat, _unit(xs), out=xs).sum(axis=1)
+    del xs
+    zs = rows(draw(2))
     best_distractor = (xhat @ _unit(zs).T).max(axis=1)
     return int(np.count_nonzero(best_distractor > true_sim))
 
 
 def retrieval_error_probability(cfg):
-    """Estimate the per-item retrieval error rate for one (kind, d, n) cell."""
+    """Estimate the per-item retrieval error rate for one (kind, d, n) cell.
+
+    With two or more usable CPUs the trials run two at a time, the even
+    ones on this thread and the odd ones on a worker (seeds.run_ahead). The
+    counts are taken in trial order, and the first failing trial's error is
+    the one raised, as when they run one after another.
+    """
     started = time.perf_counter()
     kind = VsaKind(cfg.kind)
     n, d = cfg.n, cfg.d
-    errors = [_trial_errors(kind, d, n, mix64(cfg.seed, trial)) for trial in range(cfg.trials)]
+    bases = [mix64(cfg.seed, trial) for trial in range(cfg.trials)]
+    errors = list(run_ahead(functools.partial(_trial_errors, kind, d, n), bases, alternate=True))
     per_trial = np.asarray(errors, dtype=np.float64) / n
     std = float(per_trial.std(ddof=1)) if cfg.trials > 1 else 0.0
     return RetrievalErrorEstimate(
@@ -316,17 +336,21 @@ def query_response_distribution(
 def _responses(kind, d, n, q, base):
     # The statement is summed over row blocks of at least q rows, so the q
     # present queries all come from the first block; the draws are the
-    # same rows as one batch draw per generator.
+    # same rows as one batch draw per generator. The value blocks are drawn
+    # one block ahead on a worker thread (seeds.run_ahead) while this one
+    # draws the key blocks; one generator is only ever advanced by one
+    # thread at a time, so its rows are the same.
     unitary = kind is VsaKind.HRR_PROJECTED
     block = max(_RESPONSE_BLOCK, q)
-    blocks = (core.sample_spectra(d, mix64(base, i), n, unitary, block) for i in (0, 1))
+    values, keys = (core.sample_spectra(d, mix64(base, i), n, unitary, block) for i in (0, 1))
     s, queries = 0.0, None
-    for xs, ys in zip(*blocks):
+    for xs in run_ahead(next, [values] * len(range(0, n, block))):
+        ys = next(keys)
         if queries is None:
             queries = xs[:q].copy(), ys[:q].copy()
         xs *= ys
         s += xs.sum(axis=0)
-        del xs, ys  # freed before the generators draw the next blocks
+        del xs, ys  # dropped before the next blocks are taken
     fresh = next(core.sample_spectra(d, mix64(base, 2), 2 * q, unitary))
     present = _dots(queries[0], core.unbind_spectra(s, queries[1], exact=not unitary), d)
     absent = _dots(fresh[:q], core.unbind_spectra(s, fresh[q:], exact=not unitary), d)

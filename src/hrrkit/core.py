@@ -161,7 +161,12 @@ def unbind_spectra(s, y, exact=False):
     """
     if exact:
         return s / _check_invertible(y, INVERSE_FLOOR)
-    return s * np.conj(y)
+    # Multiply into conj(y) when it has the result's shape and type, so no
+    # second spectrum-sized array is allocated.
+    conj = np.conj(y)
+    fits = conj.shape == np.broadcast_shapes(np.shape(s), conj.shape)
+    fits = fits and conj.dtype == np.result_type(s, conj)
+    return np.multiply(s, conj, out=conj if fits else None)
 
 
 def bind_adjoint(g, b):

@@ -29,24 +29,22 @@ bit.
 
 Decoding streams the classes in blocks of _CLASS_BLOCK
 (`LabelSpace.iter_class_blocks`). When there are two or more blocks and
-the process may use two or more CPUs, one worker thread regenerates block
-i + 1 while the caller scores block i, so regeneration and the score
-product run on different cores; the blocks, and every score and ranking
-made from them, are the same bits as one block at a time.
+the process may use two or more CPUs, one worker thread
+(`seeds.run_ahead`) regenerates block i + 1 while the caller scores block
+i, so regeneration and the score product run on different cores; the
+blocks, and every score and ranking made from them, are the same bits as
+one block at a time.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextlib
 import dataclasses
 import functools
-import os
 
 import numpy as np
 
 from . import core
-from .seeds import mix64, mix64_array, pcg64_generators
+from .seeds import mix64, mix64_array, pcg64_generators, run_ahead
 
 __all__ = [
     "LabelSpace",
@@ -136,25 +134,16 @@ class LabelSpace:
     def iter_class_blocks(self):
         """Yield (start, vectors) chunks covering all classes in order.
 
-        With two or more blocks and two or more usable CPUs, one worker
-        thread makes block i + 1 while the caller uses block i, so at most
-        one block is in flight; otherwise each block is made when it is
-        asked for. The blocks are class_vectors(arange(start, stop)) bit for
-        bit either way. An error in the worker is raised where its block is
-        taken. Closing the iterator early waits for the block in flight and
-        stops the worker.
+        The blocks are made by seeds.run_ahead: with two or more blocks and
+        two or more usable CPUs, one worker thread makes block i + 1 while
+        the caller uses block i, so at most one block is in flight;
+        otherwise each block is made when it is asked for. They are
+        class_vectors(arange(start, stop)) bit for bit either way. An error
+        in the worker is raised where its block is taken. Closing the
+        iterator early waits for the block in flight and stops the worker.
         """
         starts = range(0, self.n_classes, _CLASS_BLOCK)
-        pool = None
-        if len(starts) > 1 and _usable_cpus() > 1:
-            pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
-        with pool or contextlib.nullcontext():
-            pending = None
-            for start in starts:
-                rows = self._class_block(start) if pending is None else pending.result()
-                if pool is not None and start + _CLASS_BLOCK < self.n_classes:
-                    pending = pool.submit(self._class_block, start + _CLASS_BLOCK)
-                yield start, rows
+        yield from zip(starts, run_ahead(self._class_block, starts))
 
     def _class_block(self, start):
         return self.class_vectors(np.arange(start, min(start + _CLASS_BLOCK, self.n_classes)))
@@ -170,13 +159,6 @@ class LabelSpace:
             raise IndexError(
                 f"class index {bad} out of range [0, {self.n_classes})"
             )
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def make_label_space(n_classes, dim, seed):

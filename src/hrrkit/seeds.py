@@ -12,9 +12,18 @@ for a whole index array in uint64/uint32 numpy arithmetic, and
 `pcg64_generators` hands the resulting state words to PCG64's own seeding.
 Each generator is bit for bit the one `np.random.Generator(np.random.PCG64(
 mix64(seed, i)))` makes.
+
+Because no stream depends on when it is drawn, independent draws may run on
+another core: `run_ahead` makes the next item of a sequence on a worker
+thread while the caller uses (or makes) the current one, and yields the
+items in order.
 """
 
 from __future__ import annotations
+
+import concurrent.futures
+import os
+import sys
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -127,3 +136,47 @@ def pcg64_generators(seeds):
     """
     for words in seed_sequence_words(seeds):
         yield np.random.Generator(np.random.PCG64(_StateWords(words)))
+
+
+def run_ahead(make, items, alternate=False):
+    """Yield make(item) for each item of the sized sequence items, in order.
+
+    One worker thread makes item i + 1 while the caller's thread uses item
+    i. With `alternate` the caller's thread makes every other item itself
+    instead (items 0, 2, 4, ...), each while the worker makes the item
+    after it. Either way at most two items are in the making or in use at
+    once. With one item, with one usable CPU, or in a process started by
+    multiprocessing (a pool's worker, whose siblings hold the other CPUs),
+    every item is made on the caller's thread when it is asked for. The
+    results are the same either way as long as make(item) does not depend
+    on the thread or the time it runs. An error in make is raised where its
+    item is taken, so the first failing item in order is the one raised; an
+    error of the item after it, which a serial loop would never have made,
+    is dropped. Closing the iterator early waits for the item in flight and
+    stops the worker.
+    """
+    # A process started by multiprocessing has it loaded; looking it up
+    # rather than importing it keeps the import out of every other process.
+    mp = sys.modules.get("multiprocessing")
+    in_child = mp is not None and mp.parent_process() is not None
+    if len(items) < 2 or in_child or _usable_cpus() < 2:
+        yield from map(make, items)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        submit = lambda i: pool.submit(make, items[i]) if i < len(items) else None
+        ahead = None if alternate else submit(0)  # the worker's item
+        for i, item in enumerate(items):
+            if ahead is None:
+                ahead = submit(i + 1)
+                done = make(item)
+            else:
+                done = ahead.result()
+                ahead = None if alternate else submit(i + 1)
+            yield done
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1

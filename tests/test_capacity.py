@@ -1,12 +1,16 @@
 """Tests for the Monte-Carlo retrieval-error and response harness."""
 
 import math
+import multiprocessing
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hrrkit import capacity, core
+from hrrkit import capacity, cli, core, seeds
 from hrrkit.capacity import (
     CapacityTrialConfig,
     build_statement,
@@ -375,3 +379,129 @@ class TestPredictedError:
         )
         p = predicted_error(d, n)
         assert est.p_error <= p + 3 * math.sqrt(p * (1 - p) / (n * trials)), (est.p_error, p)
+
+
+def trial_threads(monkeypatch):
+    """Record the thread each trial runs on, keyed by its seed."""
+    threads = {}
+    original = capacity._trial_errors
+
+    def recording(kind, d, n, base):
+        threads[base] = threading.current_thread()
+        return original(kind, d, n, base)
+
+    monkeypatch.setattr(capacity, "_trial_errors", recording)
+    return threads
+
+
+class TestWorkerThread:
+    """Trials two at a time (even ones on the caller's thread, odd ones on a
+    worker), and response value blocks drawn a block ahead on a worker."""
+
+    @pytest.mark.parametrize("kind", list(VsaKind))
+    @pytest.mark.parametrize("d, n", [(4096, 128), (121, 45)])  # 121 is odd: no Nyquist bin
+    def test_per_trial_errors_equal_the_inline_path(self, kind, d, n, monkeypatch):
+        cfg = CapacityTrialConfig(kind=kind, d=d, n=n, trials=5, seed=11)
+        threads = trial_threads(monkeypatch)
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
+        inline = retrieval_error_probability(cfg)
+        assert set(threads.values()) == {threading.main_thread()}
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        pooled = retrieval_error_probability(cfg)
+        on_main = [threads[mix64(cfg.seed, t)] is threading.main_thread() for t in range(cfg.trials)]
+        assert on_main == [True, False, True, False, True]
+        assert pooled == inline
+        assert pooled.per_trial_errors == inline.per_trial_errors
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (0, 1)])
+    def test_first_failing_trial_in_order_is_raised(self, first, second, monkeypatch):
+        # Zero key bins in two trials, the earlier one made slow so that it
+        # fails last: its error is the one raised, whichever thread ran it
+        # (trial 1 runs on the worker; trials 0 and 2 on this thread).
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        cfg = CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=4, seed=9)
+        keys = lambda trial: mix64(mix64(cfg.seed, trial), 1)
+        planted = {keys(first): (13, 5), keys(second): (4, 7)}
+        sample = core.sample_spectra
+        drawn_on = {}
+
+        def patched(d, seed, count, unitary=False, block=None):
+            for spec in sample(d, seed, count, unitary, block):
+                if seed in planted:
+                    drawn_on[seed] = threading.current_thread()
+                    spec[planted[seed]] = 0.0
+                    if seed == keys(first):
+                        time.sleep(0.2)
+                yield spec
+
+        monkeypatch.setattr(core, "sample_spectra", patched)
+        before = threading.active_count()
+        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
+            retrieval_error_probability(cfg)
+        assert drawn_on[keys(1)] is not threading.main_thread()
+        assert threading.active_count() == before
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
+        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
+            retrieval_error_probability(cfg)
+
+    @pytest.mark.parametrize("kind", HRR_KINDS)
+    def test_response_with_the_worker_equals_inline(self, kind, monkeypatch):
+        sample = core.sample_spectra
+        drawn_on = set()
+
+        def recording(*args, **kwargs):
+            for spec in sample(*args, **kwargs):
+                drawn_on.add(threading.current_thread())
+                yield spec
+
+        monkeypatch.setattr(core, "sample_spectra", recording)
+        run = lambda: query_response_distribution(64, [3 * BLOCK + 5, 300], trials=2, seed=4, kind=kind)
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
+        inline = run()
+        assert drawn_on == {threading.main_thread()}
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        assert run() == inline
+        assert len(drawn_on) > 1  # worker threads drew blocks too
+
+    def test_two_trials_in_flight_hold_at_most_six_spectra(self):
+        # Two trials in flight, each holding at most three n x (d/2 + 1)
+        # complex arrays: 6 * 128 * 2049 * 16 B = 25.2 MB, plus 1.8 MB for
+        # the small arrays. One trial alone peaked at 29.5 MB when it kept
+        # every array to the end.
+        cfg = CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=4096, n=128, trials=10, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            retrieval_error_probability(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 27e6, peak
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the --jobs children must inherit the recording patch",
+    )
+    def test_capacity_jobs_children_run_their_trials_inline(self, tmp_path, monkeypatch):
+        # Even with two usable CPUs, a --jobs child starts no trial thread:
+        # its sibling processes hold the other CPUs.
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        log = tmp_path / "threads.log"
+        original = capacity._trial_errors
+
+        def logging_trial(kind, d, n, base):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {threading.current_thread() is threading.main_thread()}\n")
+            return original(kind, d, n, base)
+
+        monkeypatch.setattr(capacity, "_trial_errors", logging_trial)
+        out = tmp_path / "c.csv"
+        assert cli.main([
+            "capacity", "--vsa", "hrr,hrr-proj", "--dims", "64", "--trials", "4",
+            "--n-max", "11", "--jobs", "2", "--out", str(out),
+        ]) == 0
+        lines = [line.split() for line in log.read_text().splitlines()]
+        pids = {pid for pid, _ in lines}
+        assert pids and str(os.getpid()) not in pids
+        assert {on_main for _, on_main in lines} == {"True"}

@@ -379,6 +379,19 @@ class TestHalfSpectra:
             atol=1e-10,
         )
 
+    def test_unbind_spectra_product_is_s_times_conj_y_and_leaves_y_alone(self):
+        # the product goes into conj(y)'s buffer only when it has the result's shape and type
+        fy = np.fft.rfft(core.sample_standard(64, 7, 3))
+        for s, y in [
+            (np.fft.rfft(core.sample_standard(64, 8)), fy),  # (33,) with (3, 33)
+            (np.fft.rfft(core.sample_standard(64, 9, 3)), fy[0]),  # (3, 33) with (33,)
+            (np.fft.rfft(core.sample_standard(64, 10)), fy.real.copy()),  # real y
+        ]:
+            kept = y.copy()
+            got = core.unbind_spectra(s, y)
+            assert np.array_equal(got.view(np.float64), (s * np.conj(y)).view(np.float64))
+            assert np.array_equal(y, kept)
+
     def test_exact_unbind_spectra_refuse_a_small_bin_like_exact_inverse(self):
         d = 16
         y = core.sample_standard(d, 6, 4)

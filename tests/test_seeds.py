@@ -1,5 +1,8 @@
 """Tests for the seed derivation and its vectorized form."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -49,3 +52,49 @@ def test_generators_repeat_per_seed_streams():
         assert rng.bit_generator.state == ref.bit_generator.state
         np.testing.assert_array_equal(rng.standard_normal(33), ref.standard_normal(33))
         np.testing.assert_array_equal(rng.integers(0, 2**62, 5), ref.integers(0, 2**62, 5))
+
+
+def on_main(item):
+    return item, threading.current_thread() is threading.main_thread()
+
+
+class TestRunAhead:
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_items_in_order_on_the_expected_threads(self, alternate, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        got = list(seeds.run_ahead(on_main, range(7), alternate=alternate))
+        assert [item for item, _ in got] == list(range(7))
+        want = [i % 2 == 0 for i in range(7)] if alternate else [False] * 7
+        assert [main for _, main in got] == want
+
+    @pytest.mark.parametrize("alternate", [False, True])
+    @pytest.mark.parametrize("cpus, items", [(1, range(5)), (2, range(1)), (2, [])])
+    def test_one_cpu_or_one_item_runs_inline(self, cpus, items, alternate, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        got = [(main, threading.active_count()) for _, main in seeds.run_ahead(on_main, items, alternate)]
+        assert got == [(True, before)] * len(items)
+
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_at_most_two_items_at_once(self, alternate, monkeypatch):
+        # an item is live from the start of its making until the caller is done with it
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        lock, live, peak = threading.Lock(), [0], [0]
+
+        def make(item):
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+            time.sleep(0.01)
+            return item
+
+        for _ in seeds.run_ahead(make, range(6), alternate):
+            time.sleep(0.01)
+            with lock:
+                live[0] -= 1
+        assert peak[0] <= 2
+
+    def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(seeds.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(seeds.os, "cpu_count", lambda: None)
+        assert seeds._usable_cpus() == 1
