@@ -17,8 +17,6 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from . import data as dataio
 from . import labels as labelcodec
@@ -88,6 +86,10 @@ def _check_min(args, **minimums):
         value = getattr(args, key)
         if value < low:
             raise ValueError(f"--{key.replace('_', '-')} must be >= {low}, got {value}")
+
+
+def _read_dataset(args, path):
+    return dataio.parse_xml_repo(path, one_based=args.one_based)
 
 
 def _vsa_list(values):
@@ -216,7 +218,7 @@ def cmd_train(args):
     hidden = _int_list(args.hidden)
     if not hidden:
         raise ValueError(f"--hidden needs at least one layer width, got {args.hidden!r}")
-    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
+    dataset = _read_dataset(args, args.data)
     label_seed = args.label_seed if args.label_seed is not None else args.seed
     if args.head == "hrr":
         out_dim = args.d_prime
@@ -235,11 +237,7 @@ def cmd_train(args):
         dropout=args.dropout,
         seed=args.seed,
     )
-    val = (
-        dataio.parse_xml_repo(args.val_data, one_based=args.one_based)
-        if args.val_data
-        else None
-    )
+    val = _read_dataset(args, args.val_data) if args.val_data else None
     model, stats = trainermod.train(model, dataset, config, space=space, val_dataset=val)
     meta = {
         "n_features": dataset.n_features,
@@ -277,49 +275,43 @@ def _read_predictions(path, n_expected, n_labels):
 
 def cmd_eval(args):
     ks = _int_list(args.k)
-    if not ks:
-        raise ValueError(f"--k needs at least one cutoff, got {args.k!r}")
-    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
+    if not ks or min(ks) < 1:
+        raise ValueError(f"--k needs one or more cutoffs, each >= 1, got {args.k!r}")
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
-    params_block = None
+    dataset = _read_dataset(args, args.data)
+    propensities = dataio.compute_propensities(  # only this L-vector outlives --train-data
+        _read_dataset(args, args.train_data) if args.train_data else dataset
+    )
+    if propensities.size != dataset.n_labels:
+        raise ValueError(
+            f"--train-data {args.train_data} has {propensities.size} labels, "
+            f"--data {args.data} has {dataset.n_labels}"
+        )
+    payload = {"manifest": _manifest("eval", args)}
     if args.predictions:
         rankings = _read_predictions(args.predictions, dataset.n_examples, dataset.n_labels)
     else:
         model, header = trainermod.load_checkpoint(args.checkpoint)
-        space = None
+        space, comp = None, 0.0
         if model.head == "hrr":
             space = labelcodec.make_label_space(
                 header["n_labels"], header["d_prime"], header["label_seed"]
+            )
+            comp = trainermod.compression_percent(
+                header["n_labels"], header["d_prime"], header["layer_sizes"][-2]
             )
         trainermod.check_dataset(model, dataset, space)
         rankings = trainermod.predict_rankings(
             model, dataset, space=space, k=max(ks)
         )
         out_params, total = trainermod.param_count(model)
-        comp = 0.0
-        if model.head == "hrr":
-            comp = trainermod.compression_percent(
-                header["n_labels"], header["d_prime"], header["layer_sizes"][-2]
-            )
-        params_block = {
+        payload["params"] = {
             "output_params": out_params,
             "total_params": total,
             "compression_percent": comp,
         }
-    prop_source = (
-        dataio.parse_xml_repo(args.train_data, one_based=args.one_based)
-        if args.train_data
-        else dataset
-    )
-    if prop_source.n_labels != dataset.n_labels:
-        raise ValueError("propensity source and eval dataset disagree on label count")
-    propensities = dataio.compute_propensities(prop_source)
-    truths = np.split(dataset.labels, dataset.label_indptr[1:-1])
-    report = metricsmod.metric_report(rankings, truths, propensities, ks=ks)
-    payload = {"manifest": _manifest("eval", args), "metrics": report}
-    if params_block:
-        payload["params"] = params_block
+    payload["metrics"] = metricsmod.metric_report(rankings, dataset, propensities, ks=ks)
     _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -17,6 +17,15 @@ import numpy as np
 __all__ = ["metric_report", "ndcg_at_k", "precision_at_k", "psndcg_at_k", "psp_at_k"]
 
 
+def _csr(rows):
+    # (row lengths, flat values): a SparseDataset's label rows as stored, ragged rows flattened
+    if hasattr(rows, "label_indptr") and hasattr(rows, "labels"):
+        return np.diff(rows.label_indptr), rows.labels
+    rows = list(rows)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    return lengths, np.fromiter(itertools.chain.from_iterable(rows), np.int64)
+
+
 def _evaluate(rankings, truths, propensities, ks, strict):
     """The one metrics path: (labelled row count, {"P@k": counted rows' values}).
 
@@ -24,12 +33,10 @@ def _evaluate(rankings, truths, propensities, ks, strict):
     or always if strict. One (n x k) hit matrix and cumulative gains along it
     give every k; each k checks its rows before it takes their values.
     """
-    ragged = [list(rankings), list(truths)]  # flattened once, into CSR arrays
-    n, kv = len(ragged[0]), np.asarray(ks, dtype=np.int64)
-    if len(ragged[1]) != n:
-        raise ValueError(f"{n} rankings, {len(ragged[1])} truth sets")
-    lengths, truth_sizes = (np.fromiter(map(len, rows), np.int64, len(rows)) for rows in ragged)
-    ranked, truth = (np.fromiter(itertools.chain.from_iterable(rows), np.int64) for rows in ragged)
+    (lengths, ranked), (truth_sizes, truth) = _csr(rankings), _csr(truths)
+    n, kv = len(lengths), np.asarray(ks, dtype=np.int64)
+    if len(truth_sizes) != n:
+        raise ValueError(f"{n} rankings, {len(truth_sizes)} truth sets")
     both = np.concatenate([ranked, truth, [0]])
     lo, span = both.min(), both.max() - both.min() + 1
     # row * span + (label - lo) keys a label to its row; sorted keys run by (row, label)
@@ -104,6 +111,7 @@ def psndcg_at_k(ranked, truth, propensities, k):
 def metric_report(rankings, truths, propensities=None, ks=(1, 3, 5)):
     """Dataset-level means of the four metrics at each k.
 
+    truths may be a SparseDataset, whose label rows are read as stored.
     Examples with empty truth sets are left out of the averages, and at each
     k so are rankings shorter than k. Keys are like "P@1", "PSP@3", "nDCG@5"
     and "PSnDCG@5"; propensity metrics only when propensities are given.

@@ -409,8 +409,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
         val_p1 = None
         if val_dataset is not None:
             rankings = predict_rankings(model, val_dataset, space, k=1)
-            truths = np.split(val_dataset.labels, val_dataset.label_indptr[1:-1])
-            val_p1 = metrics.metric_report(rankings, truths, ks=(1,)).get("P@1")
+            val_p1 = metrics.metric_report(rankings, val_dataset, ks=(1,)).get("P@1")
         j_p = j_n = None
         if model.head == "hrr" and splits:
             j_p, j_n = (float(v) for v in np.mean(splits, axis=0))
@@ -439,16 +438,17 @@ def train(model, dataset, config, space=None, val_dataset=None):
 def predict_rankings(model, dataset, space=None, k=5):
     """Top-k label rankings for every example, best score first.
 
-    Ranked by labels.topk, ties toward the lower index; hrr class scores
-    stream block by block, so no (examples x classes) matrix is formed.
+    Ranked by labels.topk, ties toward the lower index, with no (examples x
+    classes) matrix: the fc head ranks each 256-row forward chunk's logits
+    before the next chunk's are made, the hrr head all outputs in one pass
+    over the class blocks. An empty dataset is one empty chunk.
     """
-    outs = [
-        _forward_sparse(model, dataset.take(slice(lo, lo + 256)))[0]
-        for lo in range(0, dataset.n_examples, 256)
-    ]
-    out = np.concatenate(outs) if outs else np.zeros((0, model.out_dim))
-    blocks = labelcodec.score_blocks(space, out) if model.head == "hrr" else [(0, out)]
-    return labelcodec.topk(blocks, k).tolist()
+    chunks = (dataset.take(slice(lo, lo + 256)) for lo in range(0, max(dataset.n_examples, 1), 256))
+    if model.head == "fc":
+        ranks = [labelcodec.topk([(0, _forward_sparse(model, chunk)[0])], k) for chunk in chunks]
+        return np.concatenate(ranks).tolist()
+    out = np.concatenate([_forward_sparse(model, chunk)[0] for chunk in chunks])
+    return labelcodec.topk(labelcodec.score_blocks(space, out), k).tolist()
 
 
 def param_count(model):

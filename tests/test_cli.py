@@ -379,7 +379,76 @@ class TestTrainEvalCommands:
         assert run_cli([
             "eval", "--data", str(data_path), mode, str(source), "--k", "", "--out", str(out),
         ]) == 2
-        assert capsys.readouterr().err == "hrrkit: --k needs at least one cutoff, got ''\n"
+        assert capsys.readouterr().err == "hrrkit: --k needs one or more cutoffs, each >= 1, got ''\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k", ["0,5", "-2", "5,0", "1,-3"])
+    def test_eval_cutoff_below_one_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, k):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        ckpt = tmp_path / "m.ckpt"
+        tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), ckpt)
+        monkeypatch.setattr(dataio, "parse_xml_repo", lambda *a, **kw: pytest.fail("data parsed"))
+        monkeypatch.setattr(tr, "predict_rankings", lambda *a, **kw: pytest.fail("decoded"))
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(data_path), "--checkpoint", str(ckpt), f"--k={k}", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == f"hrrkit: --k needs one or more cutoffs, each >= 1, got {k!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sources", [[], ["--checkpoint", "m.ckpt", "--predictions", "p.txt"]])
+    def test_eval_needs_one_source_before_reading_data(self, tmp_path, capsys, monkeypatch, sources):
+        monkeypatch.setattr(dataio, "parse_xml_repo", lambda *a, **kw: pytest.fail("data parsed"))
+        monkeypatch.setattr(tr, "predict_rankings", lambda *a, **kw: pytest.fail("decoded"))
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(tmp_path / "missing.txt"), *sources, "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            "hrrkit: provide exactly one of --checkpoint or --predictions\n"
+        )
+        assert not out.exists()
+
+    def test_eval_missing_train_data_exits_2_before_the_checkpoint_loads(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        ckpt, missing = tmp_path / "m.ckpt", tmp_path / "missing-train.txt"
+        tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), ckpt)
+        monkeypatch.setattr(tr, "load_checkpoint", lambda *a, **kw: pytest.fail("checkpoint loaded"))
+        monkeypatch.setattr(tr, "predict_rankings", lambda *a, **kw: pytest.fail("decoded"))
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(data_path), "--checkpoint", str(ckpt),
+            "--train-data", str(missing), "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hrrkit: ") and str(missing) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--checkpoint", "--predictions"])
+    def test_eval_train_data_label_count_mismatch_names_both_counts(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        other = dataio.synth_generate(6, 100, 25, labels_per_point=2, seed=4)
+        train_path = tmp_path / "train.txt"
+        train_path.write_text(dataio.serialize_xml_repo(other), encoding="utf-8")
+        source = tmp_path / "source"
+        if mode == "--checkpoint":
+            tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), source)
+        else:
+            source.write_text("0\n1\n2\n3\n", encoding="utf-8")
+        monkeypatch.setattr(tr, "load_checkpoint", lambda *a, **kw: pytest.fail("checkpoint loaded"))
+        monkeypatch.setattr(tr, "predict_rankings", lambda *a, **kw: pytest.fail("decoded"))
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(data_path), mode, str(source),
+            "--train-data", str(train_path), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hrrkit: --train-data {train_path} has 25 labels, --data {data_path} has 20\n"
+        )
         assert not out.exists()
 
     def test_train_without_hidden_layers_exits_2(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference_metrics as ref
+from hrrkit import data as dataio
 from hrrkit import metrics as mx
 
 
@@ -142,6 +143,8 @@ class TestReport:
         [
             ([[1], [2]], [[1]], "2 rankings, 1 truth sets"),
             ([[1]], [[1], [2]], "1 rankings, 2 truth sets"),
+            ([[1], [2], [3]], dataio.SparseDataset(3, 5, [0, 0, 0], [], [], [0, 1, 2], [1, 2]),
+             "3 rankings, 2 truth sets"),
         ],
     )
     def test_unequal_counts_raise(self, rankings, truths, message):
@@ -280,3 +283,41 @@ class TestAgainstReference:
         rankings = [list(range(50_000))] + [[0]] * 99
         report = mx.metric_report(rankings, [[49_999]] * 100, ks=(1,))
         assert report == ref.metric_report(rankings, [[49_999]] * 100, ks=(1,))
+
+
+class TestStoreTruths:
+    """A SparseDataset's label rows, read as stored, against the same rows as lists."""
+
+    @staticmethod
+    def store_case(rng, n, n_labels):
+        # 0-6 labels a row (about one row in four empty, the last row always),
+        # rankings of 0-8 distinct labels
+        sizes = np.where(rng.random(n) < 0.25, 0, rng.integers(1, 7, n))
+        sizes[-1] = 0
+        labels = [np.sort(rng.choice(n_labels, size=s, replace=False)) for s in sizes]
+        ds = dataio.SparseDataset(
+            3, n_labels, np.zeros(n + 1, np.int64), [], [],
+            np.cumsum(np.append(0, sizes)), np.concatenate(labels),
+        )
+        rankings = [rng.permutation(n_labels)[: rng.integers(0, 9)].tolist() for _ in range(n)]
+        return ds, rankings, [row.tolist() for row in labels]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_store_report_is_the_ragged_report_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        ds, rankings, ragged = self.store_case(rng, int(rng.integers(1, 60)), 40)
+        props = rng.uniform(0.05, 1.0, 40) if seed % 2 else None
+        ks = (1, 3, 5, 8)
+        got = mx.metric_report(rankings, ds, props, ks=ks)
+        want = mx.metric_report(rankings, ragged, props, ks=ks)
+        assert list(got) == list(want)
+        assert [float(v).hex() for v in got.values()] == [float(v).hex() for v in want.values()]
+        assert_same_outcome(("value", got), outcome(ref.metric_report, rankings, ragged, props, ks=ks))
+        assert got["evaluated_examples"] == int(np.count_nonzero(np.diff(ds.label_indptr)))
+
+    def test_store_of_only_empty_label_sets(self):
+        ds = dataio.SparseDataset(3, 5, [0, 0, 0], [], [], [0, 0, 0], [])
+        got = mx.metric_report([[0, 1], [2]], ds, ks=(1,))
+        assert got == mx.metric_report([[0, 1], [2]], [[], []], ks=(1,))
+        assert got == ref.metric_report([[0, 1], [2]], [[], []], ks=(1,))
+        assert got == {"evaluated_examples": 0}

@@ -676,6 +676,60 @@ class TestPredictRankings:
         model = tr.init_model(100, (8,), 32, "hrr", seed=33)
         space = lb.make_label_space(20, 32, seed=33)
         assert tr.predict_rankings(model, ds, space=space, k=3) == []
+        fc = tr.init_model(100, (8,), 20, "fc", seed=33)
+        assert tr.predict_rankings(fc, ds, k=3) == []
+
+    def test_fc_chunked_ranking_equals_one_stable_argsort_of_the_chunk_logits(self):
+        # 600 rows: two full 256-row chunks and a part chunk. Columns 150-299
+        # repeat columns 0-149 bit for bit, so every row's scores come in
+        # exact ties, also at its k-th place; column 300 is NaN in every row.
+        # Row 256 repeats row 255, one on each side of the first chunk edge,
+        # and row 300 has a NaN feature value, so all its logits are NaN.
+        base = planted(600, seed=39)
+        ds = base.take(np.r_[0:256, 255, 257:600])
+        ds.values[ds.indptr[300]] = np.nan
+        model = tr.init_model(100, (8,), 301, "fc", seed=39)
+        model.weights[-1][:, 150:300] = model.weights[-1][:, :150]
+        model.biases[-1][:] = np.linspace(-1.0, 1.0, 301)
+        model.biases[-1][150:300] = model.biases[-1][:150]
+        model.weights[-1][:, 300] = np.nan
+        logits = np.concatenate(
+            [tr._forward_sparse(model, ds.take(slice(lo, lo + 256)))[0] for lo in (0, 256, 512)]
+        )
+        assert np.array_equal(logits[:, :150], logits[:, 150:300], equal_nan=True)
+        assert np.isnan(logits[300]).all() and not np.isnan(logits[:300, :300]).any()
+        for k in (1, 5, 40):
+            got = tr.predict_rankings(model, ds, k=k)
+            assert got == np.argsort(-logits, axis=1, kind="stable")[:, :k].tolist()
+            assert_int_rankings(got, 600, k)
+            assert got[255] == got[256]
+            assert got[300] == list(range(k))
+            if k % 2:  # the k-th label's tie partner is left out
+                assert got[0][-1] < 150 and got[0][-1] + 150 not in got[0]
+        top = got[0][:2]
+        assert top[1] == top[0] + 150  # a tie ranks the lower index first
+
+    def test_fc_peak_memory_is_one_chunk_of_logits(self):
+        n, n_labels, k = 1024, 30_938, 5
+        ds = dataio.synth_generate(n, n_labels, n_labels, 1, seed=40)
+        model = tr.init_model(n_labels, (64,), n_labels, "fc", seed=40)
+        # Stated before measuring: one 256-row chunk's logits and the
+        # temporary of its bias add (2 * 256 * L * 8 bytes), the n x k
+        # rankings as Python lists (under 256 bytes a row), and 16 MiB for
+        # the chunk's inputs and topk's merge buffers. Keeping every
+        # chunk's logits and joining them took 2 * n * L * 8 bytes.
+        bound = 2 * 256 * n_labels * 8 + n * 256 + 16 * 2**20
+        assert bound < 0.6 * n * n_labels * 8  # well below one n x L matrix
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rankings = tr.predict_rankings(model, ds, k=k)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(rankings) == n
+        assert peak < bound
 
     def test_hrr_peak_memory_stays_far_below_a_dense_score_matrix(self):
         n, n_labels = 512, 4096
