@@ -16,9 +16,11 @@ on a log axis instead of reporting zero.
 For the two HRR kinds a trial never leaves the frequency domain: symbols
 are drawn as half spectra, the statement is the sum of their products,
 unbinding multiplies by the conjugate (projected) or divides by the key
-spectrum (naive), and cosines are dot products of Parseval rows
-(core.parseval_rows). `predicted_error` is the crosstalk model that the
-projected kind's Monte-Carlo estimates are checked against.
+spectrum (naive; with no floor, so a near-zero key bin is measured as the
+noise it makes instead of aborting the sweep), and cosines are dot
+products of Parseval rows (core.parseval_rows). `predicted_error` is the
+crosstalk model that the projected kind's Monte-Carlo estimates are
+checked against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import dataclasses
 import functools
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -36,13 +37,10 @@ from .seeds import mix64, run_ahead
 from .vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 __all__ = [
-    "CapacityCurve",
     "CapacityTrialConfig",
     "ResponseStats",
     "RetrievalErrorEstimate",
     "build_statement",
-    "capacity_at_threshold",
-    "capacity_curve",
     "capacity_sweep",
     "predicted_error",
     "query_response_distribution",
@@ -99,23 +97,14 @@ class ResponseStats:
     std_absent: float
 
 
-@dataclasses.dataclass(frozen=True)
-class CapacityCurve:
-    kind: VsaKind
-    threshold: float
-    points: tuple  # ((d, capacity), ...) in ascending d
+def sqrt2_grid(n_max):
+    """Pair counts round(sqrt(2)**j) <= n_max for j = 6, 7, ...: 8, 11, 16, 23, ...
 
-
-def sqrt2_grid(n_max, j_min=6):
-    """Pair counts round(sqrt(2)**j) for j >= j_min, deduplicated, <= n_max."""
-    grid = []
-    j = j_min
-    while True:
-        n = int(round(2.0 ** (j / 2.0)))
-        if n > n_max:
-            break
-        if not grid or n != grid[-1]:
-            grid.append(n)
+    The counts rise strictly from MIN_PAIRS, so none repeats.
+    """
+    grid, j = [], 6
+    while (n := round(2.0 ** (j / 2.0))) <= n_max:
+        grid.append(n)
         j += 1
     return grid
 
@@ -261,31 +250,6 @@ def capacity_sweep(
         if est.p_error > threshold:
             return n, False, estimates
     return grid[-1], True, estimates
-
-
-def capacity_at_threshold(kind, d, threshold=DEFAULT_THRESHOLD, seed=0, trials=DEFAULT_TRIALS, n_max=4096):
-    """Capacity of one (kind, d) cell; returns the (d, capacity) pair."""
-    capacity, _, _ = capacity_sweep(
-        kind, d, threshold=threshold, seed=seed, trials=trials, n_max=n_max
-    )
-    return d, capacity
-
-
-def capacity_curve(kind, dims, threshold=DEFAULT_THRESHOLD, seed=0, trials=DEFAULT_TRIALS, n_max=4096):
-    """Capacity across a dimension grid, with a soft monotonicity check."""
-    kind = VsaKind(kind)
-    points = tuple(
-        capacity_at_threshold(kind, d, threshold, seed, trials, n_max)
-        for d in sorted(dims)
-    )
-    if kind is not VsaKind.HRR_NAIVE:
-        caps = [c for _, c in points]
-        if any(b < a for a, b in zip(caps, caps[1:])):
-            warnings.warn(
-                f"capacity not nondecreasing in d for {kind.value}: {points}",
-                stacklevel=2,
-            )
-    return CapacityCurve(kind=kind, threshold=threshold, points=points)
 
 
 def _kind_tag(kind):

@@ -218,6 +218,16 @@ def cmd_train(args):
     hidden = _int_list(args.hidden)
     if not hidden:
         raise ValueError(f"--hidden needs at least one layer width, got {args.hidden!r}")
+    if args.head == "hrr":
+        _check_min(args, d_prime=2)
+    config = trainermod.TrainConfig(
+        epochs=args.epochs,
+        batch_size=args.batch,
+        lr=args.lr,
+        weight_decay=args.weight_decay,
+        dropout=args.dropout,
+        seed=args.seed,
+    )
     dataset = _read_dataset(args, args.data)
     label_seed = args.label_seed if args.label_seed is not None else args.seed
     if args.head == "hrr":
@@ -228,14 +238,6 @@ def cmd_train(args):
         space = None
     model = trainermod.init_model(
         dataset.n_features, hidden, out_dim, args.head, seed=args.seed
-    )
-    config = trainermod.TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        dropout=args.dropout,
-        seed=args.seed,
     )
     val = _read_dataset(args, args.val_data) if args.val_data else None
     model, stats = trainermod.train(model, dataset, config, space=space, val_dataset=val)

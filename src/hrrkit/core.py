@@ -108,31 +108,26 @@ def bind_sum(a, b):
     return _irfft(_spectral_product(a, b).sum(axis=0), np.shape(a)[-1])
 
 
-def _check_invertible(spec, floor):
-    # Refuses a spectrum with any bin at or below the floor, naming the bin
-    # and, for a batch, the row of the smallest such bin.
-    mags = np.abs(spec)
-    if mags.size and mags.min() <= floor:
-        *row, j = (int(i) for i in np.unravel_index(np.argmin(mags), mags.shape))
-        where = f" of row {row[0] if len(row) == 1 else tuple(row)}" if row else ""
-        raise SpectralInverseError(
-            f"spectral bin {j}{where} has magnitude {mags.min():.3e} <= "
-            f"{floor:g}; exact inverse is unstable"
-        )
-    return spec
-
-
-def exact_inverse(a, floor=INVERSE_FLOOR):
+def exact_inverse(a):
     """Exact convolution inverse: reciprocal of each spectral coefficient.
 
     Works row by row on batches. Numerically unstable whenever a spectrum
-    has small bins, so any bin with magnitude <= `floor` raises
+    has small bins, so any bin with magnitude <= INVERSE_FLOOR raises
     SpectralInverseError naming the bin (j, whose mirror d - j has the same
     magnitude) and, for a batch, the row of the smallest such bin. For
     unitary vectors this equals pseudo_inverse().
     """
     a = _check_vector(a, "a")
-    return _irfft(1.0 / _check_invertible(np.fft.rfft(a), floor), a.shape[-1])
+    spec = np.fft.rfft(a)
+    mags = np.abs(spec)
+    if mags.size and mags.min() <= INVERSE_FLOOR:
+        *row, j = (int(i) for i in np.unravel_index(np.argmin(mags), mags.shape))
+        where = f" of row {row[0] if len(row) == 1 else tuple(row)}" if row else ""
+        raise SpectralInverseError(
+            f"spectral bin {j}{where} has magnitude {mags.min():.3e} <= "
+            f"{INVERSE_FLOOR:g}; exact inverse is unstable"
+        )
+    return _irfft(1.0 / spec, a.shape[-1])
 
 
 def pseudo_inverse(a):
@@ -155,12 +150,13 @@ def unbind_spectra(s, y, exact=False):
     """unbind() on half spectra: s * conj(y), or s / y with `exact`.
 
     s and y are half spectra (as from sample_spectra) and broadcast against
-    each other. With `exact` the key is inverted exactly, as by
-    exact_inverse(), and a key bin at or below INVERSE_FLOOR raises the same
-    SpectralInverseError naming the bin and row.
+    each other. With `exact` the statement is divided through by the key,
+    as naive HRR unbinds (Plate 1995), with no floor: a tiny key bin makes
+    a large response in that bin, which a capacity trial counts as noise.
+    exact_inverse(), which takes caller-supplied vectors, refuses such keys.
     """
     if exact:
-        return s / _check_invertible(y, INVERSE_FLOOR)
+        return s / y
     # Multiply into conj(y) when it has the result's shape and type, so no
     # second spectrum-sized array is allocated.
     conj = np.conj(y)

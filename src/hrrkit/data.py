@@ -20,6 +20,7 @@ import collections
 import dataclasses
 import io
 import itertools
+import os
 
 import numpy as np
 
@@ -221,17 +222,16 @@ def _parse_block(lines, d, l, shift):
 
 
 def parse_xml_repo(source, one_based=False):
-    """Parse the sparse repository format from a path, text, or stream.
+    """Parse the sparse repository format from a path or a text stream.
 
-    With one_based=True, label and feature indices in the file are 1-based
-    and are shifted down during parsing. The source is read in blocks of
-    lines and never held whole.
+    A str or os.PathLike source is a file path; anything else is read as a
+    text stream (wrap text in io.StringIO). With one_based=True, label and
+    feature indices in the file are 1-based and are shifted down during
+    parsing. The source is read in blocks of lines and never held whole.
     """
-    if isinstance(source, str) and "\n" not in source:
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_xml_repo(fh, one_based=one_based)
-    if isinstance(source, str):
-        source = io.StringIO(source)
     shift = 1 if one_based else 0
 
     header = source.readline()

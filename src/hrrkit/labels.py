@@ -193,22 +193,22 @@ def encode_labels(space, labels):
     return core.bind_sum(space.roles, fillers)
 
 
-def _cosine_sums(u, rows, owner, seg, absolute):
-    # For every row j, c_j = cos_eps(u[owner_j], rows_j) = <u, v> / (|u||v| + eps)
-    # (or |c_j| when absolute). Returns the per-example sums of the c_j and
-    # of their gradients in u, taken as products with the 0/1 matrix seg.
+def _cosine_sums(u, rows, owner, seg):
+    # For every row j, c_j = cos_eps(u[owner_j], rows_j) = <u, v> / (|u||v| + eps).
+    # Returns the per-example sums of the c_j and of their gradients in u,
+    # taken as products with the 0/1 matrix seg.
     nu = np.linalg.norm(u, axis=1)
     nv = np.linalg.norm(rows, axis=1)
     den = nu[owner] * nv + core.COSINE_EPS
     cs = np.einsum("jd,jd->j", u[owner], rows) / den
-    # d c_j / d u = s_j (rows_j - c_j |v_j| / |u| u) / den_j, s_j the sign
-    w = (np.sign(cs) if absolute else 1.0) / den
+    # d c_j / d u = (rows_j - c_j |v_j| / |u| u) / den_j
+    w = 1.0 / den
     radial = (seg @ (w * cs * nv)) / np.maximum(nu, 1e-300)
     grads = seg @ (w[:, None] * rows) - radial[:, None] * u
-    return seg @ (np.abs(cs) if absolute else cs), grads
+    return seg @ cs, grads
 
 
-def query_loss_terms(u_p, u_m, class_rows, owner, absolute=False):
+def query_loss_terms(u_p, u_m, class_rows, owner):
     """Per-example loss terms and their gradients in the unbound queries.
 
     u_p and u_m are the (B, d) role-p and role-m unbindings of B
@@ -223,52 +223,51 @@ def query_loss_terms(u_p, u_m, class_rows, owner, absolute=False):
     n = u_p.shape[0]
     seg = np.zeros((n, owner.size))
     seg[owner, np.arange(owner.size)] = 1.0
-    c_p, g_p = _cosine_sums(u_p, class_rows, owner, seg, absolute)
+    c_p, g_p = _cosine_sums(u_p, class_rows, owner, seg)
     # The absent term pairs each example with the sum of its class rows.
-    j_n, g_um = _cosine_sums(u_m, seg @ class_rows, np.arange(n), np.eye(n), absolute)
+    j_n, g_um = _cosine_sums(u_m, seg @ class_rows, np.arange(n), np.eye(n))
     return seg.sum(axis=1) - c_p, j_n, -g_p, g_um
 
 
-def loss_terms(space, s_hat, class_rows, owner, absolute=False):
+def loss_terms(space, s_hat, class_rows, owner):
     """query_loss_terms of B (B, dim) predictions: (j_p, j_n, gradient in s_hat).
 
     The trainer passes whole batches; loss_with_gradient is a batch of one.
     """
     u_p, u_m = core.unbind(s_hat, space.roles[:, None])
-    j_p, j_n, g_up, g_um = query_loss_terms(u_p, u_m, class_rows, owner, absolute)
+    j_p, j_n, g_up, g_um = query_loss_terms(u_p, u_m, class_rows, owner)
     # u_p = s_hat (x) p*, so the adjoint maps the u_p gradient back through
     # a plain binding with p (and likewise for m).
     return j_p, j_n, core.bind_sum(space.roles[:, None], np.stack([g_up, g_um]))
 
 
-def loss(space, s_hat, labels, absolute=False):
+def loss(space, s_hat, labels):
     """Query loss of a predicted statement against a label set.
 
     The present term sums 1 - cos between the role-p unbinding and each
     present class vector; the absent term is the cosine between the role-m
-    unbinding and the sum of present class vectors. With absolute=True
-    the cosines are replaced by their magnitudes (the reference-code
-    variant); that form trains to the same loss values but lets present
-    classes converge anti-aligned, which the dot-product decoder cannot
-    rank, so the signed form is the default. An empty present set is
-    degenerate: both terms are zero and the breakdown is flagged.
+    unbinding and the sum of present class vectors. The cosines are signed:
+    with their magnitudes, as in the reference code, present classes can
+    converge anti-aligned, and the dot-product decoder cannot rank them. An
+    empty present set is degenerate: both terms are zero and the breakdown
+    is flagged.
     """
-    breakdown, _ = loss_with_gradient(space, s_hat, labels, absolute=absolute)
+    breakdown, _ = loss_with_gradient(space, s_hat, labels)
     return breakdown
 
 
-def loss_gradient(space, s_hat, labels, absolute=False):
+def loss_gradient(space, s_hat, labels):
     """Gradient of the total query loss with respect to the prediction."""
-    _, grad = loss_with_gradient(space, s_hat, labels, absolute=absolute)
+    _, grad = loss_with_gradient(space, s_hat, labels)
     return grad
 
 
-def loss_with_gradient(space, s_hat, labels, absolute=False):
+def loss_with_gradient(space, s_hat, labels):
     """Loss breakdown and its prediction gradient in one pass."""
     s_hat = _prediction(space, s_hat)
     present = _present_array(space, labels)
     owner = np.zeros(present.size, dtype=np.int64)  # no rows: zero loss and gradient
-    j_p, j_n, grad = loss_terms(space, s_hat, space.class_vectors(present), owner, absolute)
+    j_p, j_n, grad = loss_terms(space, s_hat, space.class_vectors(present), owner)
     return LossBreakdown(float(j_p[0]), float(j_n[0]), degenerate=not present.size), grad[0]
 
 

@@ -78,13 +78,13 @@ class TrainConfig:
     weight_decay: float = 0.0
     dropout: float = 0.0
     seed: int = 0
-    absolute_cosine: bool = False  # hrr head loss variant; see labels.loss
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr < 0:
-            raise ValueError("epochs, batch size, and lr must be non-negative")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0.0), ("weight_decay", 0.0)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,7 +233,7 @@ def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
         grad = np.where(labelled[:, None], _bce_grad(out, y), 0.0) / count
         return loss, grad, None
     rows = class_matrix[flat] if class_matrix is not None else space.class_vectors(flat)
-    j_p, j_n, grad = labelcodec.loss_terms(space, out, rows, owner, absolute=config.absolute_cosine)
+    j_p, j_n, grad = labelcodec.loss_terms(space, out, rows, owner)
     j_p, j_n = float(j_p.sum()) / count, float(j_n.sum()) / count
     return j_p + j_n, grad / count, (j_p, j_n)
 

@@ -14,8 +14,6 @@ from hrrkit import capacity, cli, core, seeds
 from hrrkit.capacity import (
     CapacityTrialConfig,
     build_statement,
-    capacity_at_threshold,
-    capacity_curve,
     capacity_sweep,
     predicted_error,
     query_response_distribution,
@@ -125,15 +123,15 @@ class TestRetrievalError:
 
 class TestCapacity:
     def test_projected_1024_matches_published_within_one_step(self):
-        _, cap = capacity_at_threshold(VsaKind.HRR_PROJECTED, 1024, seed=0)
+        cap, _, _ = capacity_sweep(VsaKind.HRR_PROJECTED, 1024, seed=0)
         assert cap in (45, 64, 91)  # published value 64
 
     def test_naive_1024_matches_published_within_one_step(self):
-        _, cap = capacity_at_threshold(VsaKind.HRR_NAIVE, 1024, seed=0)
+        cap, _, _ = capacity_sweep(VsaKind.HRR_NAIVE, 1024, seed=0)
         assert cap in (8, 11, 16)  # published value 12
 
     def test_mapc_1024_matches_published_within_one_step(self):
-        _, cap = capacity_at_threshold(VsaKind.MAP_C, 1024, seed=0)
+        cap, _, _ = capacity_sweep(VsaKind.MAP_C, 1024, seed=0)
         assert cap in (23, 32, 45)  # published value 32
 
     def test_sweep_reports_saturation_when_nothing_fails(self):
@@ -141,10 +139,6 @@ class TestCapacity:
             VsaKind.HRR_PROJECTED, 256, threshold=0.999, n_max=16, seed=0
         )
         assert saturated and cap == 16
-
-    def test_curve_points_sorted_by_dimension(self):
-        curve = capacity_curve(VsaKind.HRR_PROJECTED, [64, 25], trials=4, seed=0)
-        assert [d for d, _ in curve.points] == [25, 64]
 
     def test_n_max_below_first_grid_point_raises(self):
         with pytest.raises(ValueError, match="n_max must be >= 8"):
@@ -155,10 +149,10 @@ class TestCapacity:
             capacity_sweep(VsaKind.HRR_NAIVE, 64, threshold=0.0)
 
     def test_projected_capacity_monotone_across_dimension_grid(self):
-        curve = capacity_curve(
-            VsaKind.HRR_PROJECTED, [25, 64, 121, 256, 484, 1024], seed=0
-        )
-        caps = [c for _, c in curve.points]
+        caps = [
+            capacity_sweep(VsaKind.HRR_PROJECTED, d, seed=0)[0]
+            for d in [25, 64, 121, 256, 484, 1024]
+        ]
         assert all(b >= a for a, b in zip(caps, caps[1:])), caps
 
 
@@ -207,7 +201,24 @@ class TestResponses:
 # domain, the statement formed by bind_sum, unbinding by vsa_unbind).
 
 
-def reference_trial_errors(cfg):
+TINY = 1e-9  # a planted key bin: far under exact_inverse's floor, but not 0
+
+
+def plant_bin(ys, row, bin_):
+    """Keys ys with spectral bin bin_ of the given row set to TINY."""
+    spec = np.fft.rfft(ys)
+    spec[row, bin_] = TINY
+    return np.fft.irfft(spec, n=ys.shape[1])
+
+
+def divide_through(s, ys):
+    """Naive unbinding by plain spectral division, with no floor."""
+    return np.fft.irfft(np.fft.rfft(s) / np.fft.rfft(ys), n=ys.shape[1])
+
+
+def reference_trial_errors(cfg, planted=()):
+    # planted maps a trial to the (row, bin) of its keys set to TINY; that
+    # trial's keys are divided through, as exact_inverse would refuse them.
     kind, n, d = VsaKind(cfg.kind), cfg.n, cfg.d
     errors = []
     for trial in range(cfg.trials):
@@ -215,8 +226,11 @@ def reference_trial_errors(cfg):
         xs = vsa_sample(kind, d, mix64(base, 0), count=n)
         ys = vsa_sample(kind, d, mix64(base, 1), count=n)
         zs = vsa_sample(kind, d, mix64(base, 2), count=n)
+        unbind = lambda s, ys: vsa_unbind(kind, s, ys)
+        if trial in planted:
+            ys, unbind = plant_bin(ys, *planted[trial]), divide_through
         s = core.bind_sum(xs, ys)
-        xhat = vsa_unbind(kind, s, ys)
+        xhat = unbind(s, ys)
         xhat_n = xhat / (np.linalg.norm(xhat, axis=1, keepdims=True) + core.COSINE_EPS)
         true_sim = np.sum(
             xhat_n * xs / (np.linalg.norm(xs, axis=1, keepdims=True) + core.COSINE_EPS),
@@ -228,7 +242,8 @@ def reference_trial_errors(cfg):
     return tuple(errors)
 
 
-def reference_responses(d, n_values, trials, seed, kind, max_queries):
+def reference_responses(d, n_values, trials, seed, kind, max_queries, planted=()):
+    # planted as in reference_trial_errors, keyed by (n, trial)
     out = []
     for n in n_values:
         present, absent = [], []
@@ -237,10 +252,13 @@ def reference_responses(d, n_values, trials, seed, kind, max_queries):
             base = mix64(seed, n, trial)
             xs = vsa_sample(kind, d, mix64(base, 0), count=n)
             ys = vsa_sample(kind, d, mix64(base, 1), count=n)
+            unbind = lambda s, ys: vsa_unbind(kind, s, ys)
+            if (n, trial) in planted:
+                ys, unbind = plant_bin(ys, *planted[n, trial]), divide_through
             s = core.bind_sum(xs, ys)
             fresh = vsa_sample(kind, d, mix64(base, 2), count=2 * q)
-            present.append(np.sum(xs[:q] * vsa_unbind(kind, s, ys[:q]), axis=1))
-            absent.append(np.sum(fresh[:q] * vsa_unbind(kind, s, fresh[q:]), axis=1))
+            present.append(np.sum(xs[:q] * unbind(s, ys[:q]), axis=1))
+            absent.append(np.sum(fresh[:q] * unbind(s, fresh[q:]), axis=1))
         present, absent = np.concatenate(present), np.concatenate(absent)
         out.append((present.mean(), present.std(), absent.mean(), absent.std()))
     return out
@@ -280,38 +298,51 @@ class TestSpectralTrials:
             np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12)
 
     @staticmethod
-    def zero_bin_sampler(monkeypatch, key_seed, row, bin_):
+    def planted_bin_sampler(monkeypatch, key_seed, row, bin_, value):
         sample = core.sample_spectra
+        planted = []
 
         def patched(d, seed, count, unitary=False, block=None):
             start = 0
             for spec in sample(d, seed, count, unitary, block):
                 if seed == key_seed and start <= row < start + len(spec):
-                    spec[row - start, bin_] = 0.0
+                    spec[row - start, bin_] = value
+                    planted.append(np.fft.irfft(spec[row - start], n=d))
                 start += len(spec)
                 yield spec
 
         monkeypatch.setattr(core, "sample_spectra", patched)
+        return planted  # the planted key, in the time domain, once drawn
 
-    def test_naive_trial_names_the_zero_bin_and_row(self, monkeypatch):
+    def test_naive_trial_divides_through_a_tiny_key_bin(self, monkeypatch):
         cfg = CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=2, seed=9)
         keys = mix64(mix64(cfg.seed, 1), 1)  # trial 1's keys
-        self.zero_bin_sampler(monkeypatch, keys, row=13, bin_=5)
-        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
-            retrieval_error_probability(cfg)
+        planted = self.planted_bin_sampler(monkeypatch, keys, row=13, bin_=5, value=TINY)
+        got = retrieval_error_probability(cfg).per_trial_errors
+        monkeypatch.undo()
+        assert got == reference_trial_errors(cfg, planted={1: (13, 5)})
+        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 has magnitude"):
+            core.exact_inverse(planted[0])
 
-    def test_naive_response_names_the_zero_bin_and_row(self, monkeypatch):
+    def test_naive_response_divides_through_a_tiny_key_bin(self, monkeypatch):
         n = BLOCK + 40
         keys = mix64(mix64(3, n, 0), 1)
-        self.zero_bin_sampler(monkeypatch, keys, row=7, bin_=32)  # 32: Nyquist at d=64
-        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 32 of row 7 "):
-            query_response_distribution(64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE)
+        planted = self.planted_bin_sampler(monkeypatch, keys, row=7, bin_=32, value=TINY)  # Nyquist at d=64
+        (got,) = query_response_distribution(64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE)
+        monkeypatch.undo()
+        (want,) = reference_responses(64, [n], 1, 3, VsaKind.HRR_NAIVE, 256, planted={(n, 0): (7, 32)})
+        values = (got.mean_present, got.std_present, got.mean_absent, got.std_absent)
+        # The reference's key goes through irfft and back, which moves the
+        # 1e-9 bin by about 1e-17, so the responses it dominates by 1e-8.
+        np.testing.assert_allclose(values, want, rtol=1e-6)
+        with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 32 has magnitude"):
+            core.exact_inverse(planted[0])
 
     def test_naive_response_inverts_only_the_queried_keys(self, monkeypatch):
         # As in the time-domain loop, only the first q keys are unbound.
         n = BLOCK + 40
         keys = mix64(mix64(3, n, 0), 1)
-        self.zero_bin_sampler(monkeypatch, keys, row=BLOCK + 1, bin_=5)
+        self.planted_bin_sampler(monkeypatch, keys, row=BLOCK + 1, bin_=5, value=0.0)
         (stats,) = query_response_distribution(
             64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE, max_queries=16
         )
@@ -415,30 +446,30 @@ class TestWorkerThread:
 
     @pytest.mark.parametrize("first, second", [(1, 2), (0, 1)])
     def test_first_failing_trial_in_order_is_raised(self, first, second, monkeypatch):
-        # Zero key bins in two trials, the earlier one made slow so that it
-        # fails last: its error is the one raised, whichever thread ran it
-        # (trial 1 runs on the worker; trials 0 and 2 on this thread).
+        # Two trials fail, the earlier one made slow so that it fails last:
+        # its error is the one raised, whichever thread ran it (trial 1 runs
+        # on the worker; trials 0 and 2 on this thread).
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
         cfg = CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=4, seed=9)
-        keys = lambda trial: mix64(mix64(cfg.seed, trial), 1)
-        planted = {keys(first): (13, 5), keys(second): (4, 7)}
-        sample = core.sample_spectra
-        drawn_on = {}
+        bases = lambda trial: mix64(cfg.seed, trial)
+        planted = {bases(first): (13, 5), bases(second): (4, 7)}
+        original = capacity._trial_errors
+        ran_on = {}
 
-        def patched(d, seed, count, unitary=False, block=None):
-            for spec in sample(d, seed, count, unitary, block):
-                if seed in planted:
-                    drawn_on[seed] = threading.current_thread()
-                    spec[planted[seed]] = 0.0
-                    if seed == keys(first):
-                        time.sleep(0.2)
-                yield spec
+        def failing(kind, d, n, base):
+            if base not in planted:
+                return original(kind, d, n, base)
+            ran_on[base] = threading.current_thread()
+            if base == bases(first):
+                time.sleep(0.2)
+            row, bin_ = planted[base]
+            raise core.SpectralInverseError(f"spectral bin {bin_} of row {row} has magnitude 0")
 
-        monkeypatch.setattr(core, "sample_spectra", patched)
+        monkeypatch.setattr(capacity, "_trial_errors", failing)
         before = threading.active_count()
         with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
             retrieval_error_probability(cfg)
-        assert drawn_on[keys(1)] is not threading.main_thread()
+        assert ran_on[bases(1)] is not threading.main_thread()
         assert threading.active_count() == before
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
         with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):

@@ -60,6 +60,19 @@ class TestCapacityCommand:
         assert payload["manifest"]["subcommand"] == "capacity"
         assert payload["capacities"][0]["kind"] == "hrr"
 
+    def test_naive_sweep_with_a_tiny_key_bin_completes_and_repeats(self, tmp_path):
+        # Seed 2001 draws a naive key with bin 0 of row 3 at 4.6e-6, under
+        # exact_inverse's floor; the trial divides through it and goes on.
+        flags = [
+            "capacity", "--vsa", "hrr", "--dims", "1024,4096", "--trials", "10",
+            "--n-max", "128", "--seed", "2001",
+        ]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run_cli(flags + ["--out", str(a)]) == 0
+        assert run_cli(flags + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert "capacity,hrr,4096," in a.read_text()
+
     def test_vtb_non_square_dimension_exits_2(self, capsys):
         assert run_cli(["capacity", "--vsa", "vtb", "--dims", "101", "--trials", "1"]) == 2
         assert "perfect-square" in capsys.readouterr().err
@@ -469,6 +482,34 @@ class TestTrainEvalCommands:
         ]) == 2
         assert capsys.readouterr().err == "hrrkit: --hidden needs at least one layer width, got ''\n"
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--head", "fc", "--batch", "0"], "batch_size must be >= 1, got 0"),
+            (["--head", "fc", "--epochs", "-1"], "epochs must be >= 0, got -1"),
+            (["--head", "fc", "--lr", "-0.5"], "lr must be >= 0.0, got -0.5"),
+            (["--head", "fc", "--weight-decay", "-5"], "weight_decay must be >= 0.0, got -5.0"),
+            (["--head", "hrr", "--dropout", "1.0"], "dropout must be in [0, 1), got 1.0"),
+            (["--head", "hrr", "--d-prime", "1"], "--d-prime must be >= 2, got 1"),
+        ],
+    )
+    def test_train_config_errors_come_before_reading_data(self, tmp_path, capsys, flags, message):
+        # --data names no file, so reading it first would report that instead
+        ckpt = tmp_path / "x.ckpt"
+        assert run_cli([
+            "train", "--data", str(tmp_path / "missing.txt"), *flags, "--out", str(ckpt),
+        ]) == 2
+        assert capsys.readouterr().err == f"hrrkit: {message}\n"
+        assert not ckpt.exists()
+
+    def test_fc_head_ignores_d_prime(self, tmp_path):
+        train_path, _ = write_synth(tmp_path, "train.txt", 16, seed=4)
+        ckpt = tmp_path / "m.ckpt"
+        assert run_cli([
+            "train", "--data", str(train_path), "--head", "fc", "--d-prime", "1",
+            "--hidden", "8", "--epochs", "1", "--out", str(ckpt),
+        ]) == 0
 
     @pytest.mark.parametrize("sizes", [[100, 20], [100]])
     def test_eval_checkpoint_with_fewer_than_three_layer_sizes_exits_2(

@@ -1,5 +1,6 @@
 """Tests for sparse dataset parsing, serialization, and synthesis."""
 
+import io
 import os
 
 import numpy as np
@@ -10,9 +11,14 @@ from hrrkit import data as dataio
 DATA_DIR = os.environ.get("HRRKIT_DATA_DIR", os.path.join(os.path.dirname(__file__), "data"))
 
 
+def parse_text(text, one_based=False):
+    """parse_xml_repo of text held in memory: a str source is a path."""
+    return dataio.parse_xml_repo(io.StringIO(text), one_based=one_based)
+
+
 class TestParse:
     def test_two_example_file(self):
-        ds = dataio.parse_xml_repo("2 3 2\n0 0:1.5 2:0.5\n1,0 1:2.0\n")
+        ds = parse_text("2 3 2\n0 0:1.5 2:0.5\n1,0 1:2.0\n")
         assert (ds.n_examples, ds.n_features, ds.n_labels) == (2, 3, 2)
         np.testing.assert_array_equal(ds.examples[0].labels, [0])
         np.testing.assert_array_equal(ds.examples[0].feat_idx, [0, 2])
@@ -20,28 +26,28 @@ class TestParse:
         np.testing.assert_array_equal(ds.examples[1].labels, [0, 1])
 
     def test_empty_label_field_is_kept_and_flagged(self):
-        ds = dataio.parse_xml_repo("2 2 1\n 0:1.0 1:2.0\n0 0:1.0\n")
+        ds = parse_text("2 2 1\n 0:1.0 1:2.0\n0 0:1.0\n")
         assert ds.examples[0].labels.size == 0
         assert ds.examples[0].feat_idx.size == 2
         assert ds.n_unlabeled == 1
 
     def test_feature_index_bound_error_carries_line(self):
         with pytest.raises(dataio.DatasetFormatError, match="line 2.*feature index 1"):
-            dataio.parse_xml_repo("1 1 1\n0 1:1.0\n")
+            parse_text("1 1 1\n0 1:1.0\n")
 
     def test_label_index_bound_error(self):
         with pytest.raises(dataio.DatasetFormatError, match="line 3.*label index"):
-            dataio.parse_xml_repo("2 2 2\n0 0:1.0\n2 1:1.0\n")
+            parse_text("2 2 2\n0 0:1.0\n2 1:1.0\n")
 
     def test_malformed_header(self):
         with pytest.raises(dataio.DatasetFormatError, match="line 1"):
-            dataio.parse_xml_repo("2 3\n")
+            parse_text("2 3\n")
 
     def test_header_sizes_beyond_int64(self):
         text = "1 100000000000000000000000000000 2\n0 99999999999999999999999:1.0\n"
         message = "line 1: header sizes 1 100000000000000000000000000000 2 exceed int64"
         with pytest.raises(dataio.DatasetFormatError, match=message):
-            dataio.parse_xml_repo(text)
+            parse_text(text)
 
     @pytest.mark.parametrize(
         "line, message",
@@ -53,38 +59,50 @@ class TestParse:
     )
     def test_indices_beyond_int64_name_the_line(self, line, message):
         with pytest.raises(dataio.DatasetFormatError, match=message):
-            dataio.parse_xml_repo(f"1 5 2\n{line}\n")
+            parse_text(f"1 5 2\n{line}\n")
 
     def test_largest_int64_header_parses(self):
-        ds = dataio.parse_xml_repo(f"1 {2**63 - 1} 2\n1 {2**63 - 2}:1.0\n")
+        ds = parse_text(f"1 {2**63 - 1} 2\n1 {2**63 - 2}:1.0\n")
         assert ds.n_features == 2**63 - 1
         np.testing.assert_array_equal(ds.indices, [2**63 - 2])
 
     def test_non_numeric_value(self):
         with pytest.raises(dataio.DatasetFormatError, match="line 2.*non-numeric"):
-            dataio.parse_xml_repo("1 2 1\n0 1:abc\n")
+            parse_text("1 2 1\n0 1:abc\n")
 
     def test_example_count_mismatch(self):
         with pytest.raises(dataio.DatasetFormatError, match="declared 2"):
-            dataio.parse_xml_repo("2 2 2\n0 0:1.0\n")
+            parse_text("2 2 2\n0 0:1.0\n")
 
     def test_one_based_shift(self):
-        ds = dataio.parse_xml_repo("1 3 2\n2 1:1.0 3:0.5\n", one_based=True)
+        ds = parse_text("1 3 2\n2 1:1.0 3:0.5\n", one_based=True)
         np.testing.assert_array_equal(ds.examples[0].labels, [1])
         np.testing.assert_array_equal(ds.examples[0].feat_idx, [0, 2])
 
     def test_roundtrip_is_identity(self):
         ds = dataio.synth_generate(20, 24, 6, labels_per_point=2, seed=0, noise=0.25)
         text = dataio.serialize_xml_repo(ds)
-        again = dataio.parse_xml_repo(text)
+        again = parse_text(text)
         assert again.n_examples == ds.n_examples
         for a, b in zip(ds.examples, again.examples):
             np.testing.assert_array_equal(a.labels, b.labels)
             np.testing.assert_array_equal(a.feat_idx, b.feat_idx)
             np.testing.assert_array_equal(a.feat_val, b.feat_val)
 
+    def test_one_line_stream_without_newline_parses(self):
+        ds = parse_text("0 5 3")
+        assert (ds.n_examples, ds.n_features, ds.n_labels) == (0, 5, 3)
+
+    def test_str_and_pathlike_are_paths(self, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("1 2 2\n1 0:1.0\n", encoding="utf-8")
+        for source in (str(path), path):
+            np.testing.assert_array_equal(dataio.parse_xml_repo(source).labels, [1])
+        with pytest.raises(FileNotFoundError):
+            dataio.parse_xml_repo(str(tmp_path / "0 5 3"))
+
     def test_serialized_dialect_is_exact(self):
-        ds = dataio.parse_xml_repo("2 3 2\n0 0:1.5 2:0.5\n1,0 1:2.0\n")
+        ds = parse_text("2 3 2\n0 0:1.5 2:0.5\n1,0 1:2.0\n")
         assert dataio.serialize_xml_repo(ds) == "2 3 2\n0 0:1.5 2:0.5\n0,1 1:2.0\n"
 
 
@@ -192,7 +210,7 @@ def fuzz_lines(rng, n_lines, shift):
 class TestBlockParse:
     def assert_matches_reference(self, text, one_based=False):
         n, d, l, want = reference_parse(text, one_based=one_based)
-        got = dataio.parse_xml_repo(text, one_based=one_based)
+        got = parse_text(text, one_based=one_based)
         assert (got.n_examples, got.n_features, got.n_labels) == (n, d, l)
         assert_rows_equal(got.examples, want)
 
@@ -240,7 +258,7 @@ class TestBlockParse:
         with pytest.raises(dataio.DatasetFormatError) as want:
             reference_parse(text)
         with pytest.raises(dataio.DatasetFormatError) as got:
-            dataio.parse_xml_repo(text)
+            parse_text(text)
         assert str(got.value) == str(want.value) == f"line {bad + 1}: {message}"
 
     @staticmethod
@@ -284,7 +302,7 @@ class TestBlockParse:
         with pytest.raises(dataio.DatasetFormatError) as want:
             reference_parse(text)
         with pytest.raises(dataio.DatasetFormatError) as got:
-            dataio.parse_xml_repo(text)
+            parse_text(text)
         assert str(got.value) == str(want.value) == f"line {bad + 1}: duplicate feature index"
 
     @pytest.mark.parametrize("one_based", [False, True])
@@ -303,17 +321,17 @@ class TestBlockParse:
             refused.append(part is None)
             if part is None:
                 with pytest.raises(dataio.DatasetFormatError) as got:
-                    dataio.parse_xml_repo(text, one_based=one_based)
+                    parse_text(text, one_based=one_based)
                 assert str(got.value) == want
             else:
-                assert_rows_equal(dataio.parse_xml_repo(text, one_based=one_based).examples, want)
+                assert_rows_equal(parse_text(text, one_based=one_based).examples, want)
         assert 0.3 < np.mean(refused) < 0.7
 
     def test_extra_line_after_declared_count(self):
         lines = block_test_lines(n=600)
         text = "\n".join(lines) + "\n\n0 1:1.0\n"
         with pytest.raises(dataio.DatasetFormatError, match="declared 600 examples, file has 601"):
-            dataio.parse_xml_repo(text)
+            parse_text(text)
 
 
 def relabelled(ds, labels_of):
@@ -350,7 +368,7 @@ class TestStore:
             dataio, "_parse_block", lambda ls, *a: blocks.append(len(ls)) or block_parser(ls, *a)
         )
         text = "\n".join(lines) + "\n"
-        ds = dataio.parse_xml_repo(text)
+        ds = parse_text(text)
         assert blocks == [512, 512, 276]
         assert_rows_equal(ds.examples, reference_parse(text)[3])
 
@@ -366,14 +384,14 @@ class TestStore:
         ],
     )
     def test_take_equals_the_rows_gathered_from_examples(self, rows):
-        ds = dataio.parse_xml_repo(self.TEXT)
+        ds = parse_text(self.TEXT)
         got = ds.take(rows)
         assert (got.n_features, got.n_labels) == (6, 4)
         want = [ds.examples[i] for i in np.arange(ds.n_examples)[rows]]
         assert_rows_equal(got.examples, [(ex.feat_idx, ex.feat_val, ex.labels) for ex in want])
 
     def test_examples_are_views_that_cannot_be_assigned(self):
-        ds = dataio.parse_xml_repo(self.TEXT)
+        ds = parse_text(self.TEXT)
         assert np.shares_memory(ds.examples[5].feat_val, ds.values)
         with pytest.raises(TypeError):
             ds.examples[0] = ds.examples[1]
@@ -403,12 +421,12 @@ class TestStore:
 
 class TestPropensities:
     def test_ubiquitous_label_has_unit_propensity(self):
-        ds = dataio.parse_xml_repo("2 2 2\n0 0:1.0\n0 1:1.0\n")
+        ds = parse_text("2 2 2\n0 0:1.0\n0 1:1.0\n")
         p = dataio.compute_propensities(ds)
         assert p[0] == 1.0
 
     def test_single_occurrence_in_four(self):
-        ds = dataio.parse_xml_repo("4 2 1\n0 0:1.0\n 0:1.0\n 0:1.0\n 0:1.0\n")
+        ds = parse_text("4 2 1\n0 0:1.0\n 0:1.0\n 0:1.0\n 0:1.0\n")
         assert dataio.compute_propensities(ds)[0] == 0.25
 
     def test_unseen_label_floor(self):
@@ -440,7 +458,7 @@ class TestPropensities:
         np.testing.assert_array_equal(dataio.compute_propensities(ds), self.loop_propensities(ds))
 
     def test_out_of_range_label_raises(self):
-        ds = dataio.parse_xml_repo("2 2 2\n0 0:1.0\n1 1:1.0\n")
+        ds = parse_text("2 2 2\n0 0:1.0\n1 1:1.0\n")
         ds.n_labels = 1
         with pytest.raises(IndexError, match=r"label 1 out of range \[0, 1\)"):
             dataio.compute_propensities(ds)

@@ -308,20 +308,19 @@ class TestLoss:
             wins += good < bad
         assert wins >= 95
 
-    @pytest.mark.parametrize("absolute", [False, True])
-    def test_gradient_matches_central_differences(self, absolute):
+    def test_gradient_matches_central_differences(self):
         sp = lb.make_label_space(10, 64, seed=13)
         rng = np.random.default_rng(14)
         s_hat = 0.4 * rng.standard_normal(64)
         present = [1, 4, 7]
-        grad = lb.loss_gradient(sp, s_hat, present, absolute=absolute)
+        grad = lb.loss_gradient(sp, s_hat, present)
         h = 1e-6
         fd = np.zeros(64)
         for j in range(64):
             e = np.zeros(64)
             e[j] = h
-            hi = lb.loss(sp, s_hat + e, present, absolute=absolute).total
-            lo = lb.loss(sp, s_hat - e, present, absolute=absolute).total
+            hi = lb.loss(sp, s_hat + e, present).total
+            lo = lb.loss(sp, s_hat - e, present).total
             fd[j] = (hi - lo) / (2 * h)
         assert np.linalg.norm(grad - fd) / np.linalg.norm(fd) < 1e-5
 
@@ -349,25 +348,17 @@ def reference_cosines_and_grads(u, rows):
     return cs, grads
 
 
-def reference_query_loss_terms(u_p, u_m, class_rows, absolute=False):
+def reference_query_loss_terms(u_p, u_m, class_rows):
     """Per-example query loss as it was before the batched path."""
     cs, grads = reference_cosines_and_grads(u_p, class_rows)
-    if absolute:
-        j_p = float(np.sum(1.0 - np.abs(cs)))
-        g_up = -(np.sign(cs)[:, None] * grads).sum(axis=0)
-    else:
-        j_p = float(np.sum(1.0 - cs))
-        g_up = -grads.sum(axis=0)
+    j_p = float(np.sum(1.0 - cs))
+    g_up = -grads.sum(axis=0)
     cs_n, grads_n = reference_cosines_and_grads(u_m, class_rows.sum(axis=0)[None, :])
-    c_n = float(cs_n[0])
-    if absolute:
-        return j_p, abs(c_n), g_up, np.sign(c_n) * grads_n[0]
-    return j_p, c_n, g_up, grads_n[0]
+    return j_p, float(cs_n[0]), g_up, grads_n[0]
 
 
 class TestBatchedQueryLoss:
-    @pytest.mark.parametrize("absolute", [False, True])
-    def test_matches_per_example_reference(self, absolute):
+    def test_matches_per_example_reference(self):
         sp = lb.make_label_space(30, 48, seed=22)
         rng = np.random.default_rng(23)
         label_sets = [[4], [0, 7, 29], [], [3, 11], [5, 6, 8, 9]]
@@ -375,10 +366,10 @@ class TestBatchedQueryLoss:
         u_m = rng.standard_normal((5, 48))
         owner = np.repeat(np.arange(5), [len(ls) for ls in label_sets])
         rows = sp.class_vectors(np.concatenate([ls for ls in label_sets if ls]))
-        j_p, j_n, g_up, g_um = lb.query_loss_terms(u_p, u_m, rows, owner, absolute)
+        j_p, j_n, g_up, g_um = lb.query_loss_terms(u_p, u_m, rows, owner)
         for b, present in enumerate(label_sets):
             class_rows = sp.class_vectors(present) if present else np.zeros((0, 48))
-            want = reference_query_loss_terms(u_p[b], u_m[b], class_rows, absolute)
+            want = reference_query_loss_terms(u_p[b], u_m[b], class_rows)
             assert j_p[b] == pytest.approx(want[0], rel=1e-12, abs=1e-15)
             assert j_n[b] == pytest.approx(want[1], rel=1e-12, abs=1e-15)
             np.testing.assert_allclose(g_up[b], want[2], rtol=1e-10, atol=1e-14)

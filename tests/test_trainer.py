@@ -268,15 +268,14 @@ class TestBatchedLoss:
         np.testing.assert_allclose(grad, ref_grad / len(losses), rtol=1e-12, atol=1e-16)
         assert np.all(grad[2] == 0.0)
 
-    @pytest.mark.parametrize("absolute", [False, True])
     @pytest.mark.parametrize("precomputed", [False, True])
-    def test_hrr_matches_per_example_loss(self, absolute, precomputed):
+    def test_hrr_matches_per_example_loss(self, precomputed):
         batch = batch_with_unlabelled_row(7, seed=23)
         space = lb.make_label_space(20, 16, seed=14)
         model = tr.init_model(100, (8,), 16, "hrr", seed=15)
         model.biases[-1] += 0.1
         out, _, _ = tr._forward_sparse(model, batch)
-        config = tr.TrainConfig(epochs=0, absolute_cosine=absolute)
+        config = tr.TrainConfig(epochs=0)
         matrix = space.class_vectors(np.arange(20)) if precomputed else None
         loss, grad, (j_p, j_n) = tr._batch_loss_and_grad(
             model, batch, out, space, config, class_matrix=matrix
@@ -285,9 +284,7 @@ class TestBatchedLoss:
         for row, ex in enumerate(batch.examples):
             if ex.labels.size == 0:
                 continue
-            breakdown, ref_grad[row] = lb.loss_with_gradient(
-                space, out[row], ex.labels, absolute=absolute
-            )
+            breakdown, ref_grad[row] = lb.loss_with_gradient(space, out[row], ex.labels)
             parts.append((breakdown.j_p, breakdown.j_n))
         ref_jp, ref_jn = np.mean(parts, axis=0)
         assert j_p == pytest.approx(ref_jp, rel=1e-12)
