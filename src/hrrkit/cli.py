@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
-import io
+import functools
 import json
 import sys
 import time
@@ -30,39 +30,37 @@ _EXIT_USAGE = 2
 _EXIT_DIVERGED = 3
 
 
-def _manifest(subcommand, args, skip=("config", "out", "stats", "jobs", "subcommand")):
-    # The skip list drops keys that do not influence computed results, so
+def _manifest(subcommand, args):
+    # Keys that do not influence computed results are left out, so
     # identical experiments produce identical output bytes.
-    resolved = {
-        key: value
-        for key, value in sorted(vars(args).items())
-        if key not in ("func", *skip) and value is not None
-    }
     return {
         "tool": f"hrrkit-{__version__}",
         "subcommand": subcommand,
-        "config": {k: _plain(v) for k, v in resolved.items()},
+        "config": {
+            key: value
+            for key, value in sorted(vars(args).items())
+            if key not in ("func", "config", "out", "stats", "jobs", "subcommand")
+            and value is not None
+        },
     }
 
 
-def _plain(value):
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, VsaKind):
-        return value.value
-    return value
+def _write_result(out, fmt, manifest, body, header=None, rows=()):
+    """Write one result file to `out` (stdout when None).
 
-
-def _manifest_comments(manifest):
-    lines = [f"# tool: {manifest['tool']}", f"# subcommand: {manifest['subcommand']}"]
-    for key, value in manifest["config"].items():
-        lines.append(f"# {key}: {value}")
-    return "\n".join(lines) + "\n"
-
-
-def _write_out(text, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    JSON is the manifest and `body` as one object; CSV is the manifest as
+    `# key: value` comments, then `header` and `rows`. Cells are written
+    with str, which for Python floats is their round-tripping repr.
+    """
+    if fmt == "json":
+        text = json.dumps({"manifest": manifest, **body}, indent=2, sort_keys=True) + "\n"
+    else:
+        items = [("tool", manifest["tool"]), ("subcommand", manifest["subcommand"])]
+        lines = [f"# {key}: {value}" for key, value in items + list(manifest["config"].items())]
+        lines += [",".join(header)] + [",".join(map(str, row)) for row in rows]
+        text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -99,19 +97,6 @@ def _vsa_list(values):
 # ----------------------------------------------------------------- capacity
 
 
-def _capacity_cell(job):
-    kind_value, d, threshold, seed, trials, n_max = job
-    capacity, saturated, estimates = capacity_sweep(
-        VsaKind(kind_value), d, threshold=threshold, seed=seed, trials=trials, n_max=n_max
-    )
-    rows = [
-        (kind_value, est.d, est.n, trial, errors, errors / est.n)
-        for est in estimates
-        for trial, errors in enumerate(est.per_trial_errors)
-    ]
-    return kind_value, d, capacity, saturated, rows, estimates
-
-
 def _cell_stats(est):
     row = {"kind": est.kind.value, "d": est.d, "n": est.n, "trials": est.trials,
            "seconds": est.seconds, "p_error": est.p_error}
@@ -121,50 +106,40 @@ def _cell_stats(est):
 
 
 def cmd_capacity(args):
-    _check_min(args, n_max=MIN_PAIRS, trials=1)
+    _check_min(args, n_max=MIN_PAIRS, trials=1, jobs=1)
     kinds = _vsa_list(args.vsa)
     dims = [d for spec in args.dims for d in _int_list(spec)]
     if not kinds or not dims:
         raise ValueError("need at least one --vsa and one --dims value")
-    jobs = [
-        (kind.value, d, args.threshold, args.seed, args.trials, args.n_max)
-        for kind in kinds
-        for d in dims
-    ]
+    order = list(VsaKind)
+    cells = sorted(((kind, d) for kind in kinds for d in dims),
+                   key=lambda cell: (order.index(cell[0]), cell[1]))
+    sweep = functools.partial(capacity_sweep, threshold=args.threshold, seed=args.seed,
+                              trials=args.trials, n_max=args.n_max)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_capacity_cell, jobs))
+            sweeps = list(pool.map(sweep, *zip(*cells)))
     else:
-        results = [_capacity_cell(job) for job in jobs]
-    order = {kind.value: i for i, kind in enumerate(VsaKind)}
-    results.sort(key=lambda r: (order[r[0]], r[1]))
+        sweeps = [sweep(kind, d) for kind, d in cells]
 
     manifest = _manifest("capacity", args)
     if args.stats:
-        _write_stats(args.stats, manifest, [_cell_stats(est) for r in results for est in r[5]])
-    if args.format == "json":
-        payload = {
-            "manifest": manifest,
-            "trials": [
-                dict(zip(("kind", "d", "n", "trial", "errors", "p_error"), row))
-                for result in results
-                for row in result[4]
-            ],
-            "capacities": [
-                {"kind": kind, "d": d, "capacity": cap, "saturated": sat}
-                for kind, d, cap, sat, _, _ in results
-            ],
-        }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-        return 0
-    buf = io.StringIO()
-    buf.write(_manifest_comments(manifest))
-    buf.write("record,kind,d,n,trial,errors,p_error,capacity\n")
-    for kind, d, cap, sat, rows, _ in results:
-        for row_kind, row_d, n, trial, errors, p in rows:
-            buf.write(f"trial,{row_kind},{row_d},{n},{trial},{errors},{p!r},\n")
-        buf.write(f"capacity,{kind},{d},,,,,{cap}\n")
-    _write_out(buf.getvalue(), args.out)
+        stats = [_cell_stats(est) for *_, estimates in sweeps for est in estimates]
+        _write_stats(args.stats, manifest, stats)
+    fields = ("kind", "d", "n", "trial", "errors", "p_error")
+    body, rows = {"trials": [], "capacities": []}, []
+    for (kind, d), (capacity, saturated, estimates) in zip(cells, sweeps):
+        for est in estimates:
+            for trial, errors in enumerate(est.per_trial_errors):
+                row = (kind.value, est.d, est.n, trial, errors, errors / est.n)
+                body["trials"].append(dict(zip(fields, row)))
+                rows.append(("trial", *row, ""))
+        body["capacities"].append(
+            {"kind": kind.value, "d": d, "capacity": capacity, "saturated": saturated}
+        )
+        rows.append(("capacity", kind.value, d, "", "", "", "", capacity))
+    _write_result(args.out, args.format, manifest, body,
+                  header=("record", *fields, "capacity"), rows=rows)
     return 0
 
 
@@ -195,19 +170,10 @@ def cmd_response(args):
     manifest = _manifest("response", args)
     if args.stats:
         _write_stats(args.stats, manifest, timings)
-    if args.format == "json":
-        payload = {
-            "manifest": manifest,
-            "rows": [dataclasses.asdict(s) for s in stats],
-        }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-        return 0
-    buf = io.StringIO()
-    buf.write(_manifest_comments(manifest))
-    buf.write(",".join(f.name for f in dataclasses.fields(ResponseStats)) + "\n")
-    for s in stats:
-        buf.write(",".join(repr(v) for v in dataclasses.astuple(s)) + "\n")
-    _write_out(buf.getvalue(), args.out)
+    _write_result(args.out, args.format, manifest,
+                  {"rows": [dataclasses.asdict(s) for s in stats]},
+                  header=[f.name for f in dataclasses.fields(ResponseStats)],
+                  rows=map(dataclasses.astuple, stats))
     return 0
 
 
@@ -218,6 +184,8 @@ def cmd_train(args):
     hidden = _int_list(args.hidden)
     if not hidden:
         raise ValueError(f"--hidden needs at least one layer width, got {args.hidden!r}")
+    if min(hidden) < 1:
+        raise ValueError(f"--hidden widths must each be >= 1, got {args.hidden!r}")
     if args.head == "hrr":
         _check_min(args, d_prime=2)
     config = trainermod.TrainConfig(
@@ -290,7 +258,7 @@ def cmd_eval(args):
             f"--train-data {args.train_data} has {propensities.size} labels, "
             f"--data {args.data} has {dataset.n_labels}"
         )
-    payload = {"manifest": _manifest("eval", args)}
+    manifest, body = _manifest("eval", args), {}
     if args.predictions:
         rankings = _read_predictions(args.predictions, dataset.n_examples, dataset.n_labels)
     else:
@@ -308,13 +276,13 @@ def cmd_eval(args):
             model, dataset, space=space, k=max(ks)
         )
         out_params, total = trainermod.param_count(model)
-        payload["params"] = {
+        body["params"] = {
             "output_params": out_params,
             "total_params": total,
             "compression_percent": comp,
         }
-    payload["metrics"] = metricsmod.metric_report(rankings, dataset, propensities, ks=ks)
-    _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    body["metrics"] = metricsmod.metric_report(rankings, dataset, propensities, ks=ks)
+    _write_result(args.out, "json", manifest, body)
     return 0
 
 
@@ -322,14 +290,20 @@ def cmd_eval(args):
 
 
 def _apply_config_file(parser, argv):
-    """Expand --config key=value pairs into leading CLI flags."""
-    if "--config" not in argv:
+    """Expand the subcommand's --config key=value pairs into leading CLI flags.
+
+    A one-option parser finds --config in every spelling argparse accepts
+    (`--config PATH`, `--config=PATH`, a unique prefix); the full parse
+    still sees it, so it also rejects what the subcommand's parser would.
+    """
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        parser.error("--config requires a path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2 :]
+    finder = argparse.ArgumentParser(prog=sub.prog, add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
     injected = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -338,21 +312,21 @@ def _apply_config_file(parser, argv):
                 continue
             key, eq, value = line.partition("=")
             if not eq:
-                parser.error(f"{path}:{line_no}: expected key=value, got {line!r}")
+                sub.error(f"{path}:{line_no}: expected key=value, got {line!r}")
             key = key.strip().replace("-", "_")
-            if key not in parser.options:
-                parser.error(f"{path}:{line_no}: unknown config key {key!r}")
-            action = parser.options[key]
+            if key not in sub.options:
+                sub.error(f"{path}:{line_no}: unknown config key {key!r}")
+            action = sub.options[key]
             value = value.strip()
             if action.nargs == 0:  # boolean switch
                 if value.lower() in ("1", "true", "yes", "on"):
                     injected.append(action.option_strings[-1])
                 elif value.lower() not in ("0", "false", "no", "off"):
-                    parser.error(f"{path}:{line_no}: {key} expects a boolean")
+                    sub.error(f"{path}:{line_no}: {key} expects a boolean")
             else:
                 injected.extend([action.option_strings[-1], value])
     # Config values go first so explicit flags override them.
-    return injected + rest
+    return [argv[0], *injected, *argv[1:]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -446,10 +420,8 @@ def build_parser():
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if argv and argv[0] in parser.subcommands:
-        argv = [argv[0]] + _apply_config_file(parser.subcommands[argv[0]], argv[1:])
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_apply_config_file(parser, argv))
         return args.func(args)
     except trainermod.TrainingDivergedError as exc:
         print(f"hrrkit: training diverged: {exc}", file=sys.stderr)

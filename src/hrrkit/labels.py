@@ -101,8 +101,9 @@ class LabelSpace:
         self.p = core.sample_unitary(self.dim, mix64(self.seed, self.n_classes, 1))
         raw = core.sample_unitary(self.dim, mix64(self.seed, self.n_classes, 2))
         # Orthogonalize the second unitary draw against p and restore its
-        # norm; the result is no longer exactly unitary, which is fine
-        # because only p is unbound with the permutation inverse.
+        # norm. The result is no longer exactly unitary: decoding unbinds
+        # only p, and the loss's absent term unbinds by m with the same
+        # permutation inverse, which for m is an approximate unbinding.
         p_hat = self.p / np.linalg.norm(self.p)
         m = raw - (raw @ p_hat) * p_hat
         self.m = m * (np.linalg.norm(self.p) / np.linalg.norm(m))

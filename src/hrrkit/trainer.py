@@ -124,6 +124,8 @@ def init_model(n_features, hidden, out_dim, head, seed):
     if not len(hidden):
         raise ValueError("hidden must name at least one layer width")
     sizes = [int(n_features), *map(int, hidden), int(out_dim)]
+    if min(sizes[1:-1]) < 1:
+        raise ValueError(f"hidden layer widths must be >= 1, got {sizes[1:-1]}")
     rng = np.random.Generator(np.random.PCG64(seed))
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes, sizes[1:]):
@@ -214,7 +216,7 @@ def _bce_grad(logits, y):
     return (1.0 / (1.0 + np.exp(-logits)) - y) / logits.shape[-1]
 
 
-def _batch_loss_and_grad(model, batch, out, space, config, class_matrix=None):
+def _batch_loss_and_grad(model, batch, out, space, class_matrix=None):
     """Mean loss over the batch, its gradient at the output, and its split.
 
     Examples with no labels contribute neither loss nor gradient. The fc
@@ -392,7 +394,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
             )
             t1 = time.perf_counter()
             loss_value, grad_out, split = _batch_loss_and_grad(
-                model, batch, out, space, config, class_matrix=class_matrix
+                model, batch, out, space, class_matrix=class_matrix
             )
             t2 = time.perf_counter()
             if not np.isfinite(loss_value):

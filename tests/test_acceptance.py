@@ -187,11 +187,11 @@ def test_criterion_07_gradient_suite():
 
         def batch_loss():
             out, _, _ = tr._forward_sparse(model, batch)
-            value, _, _ = tr._batch_loss_and_grad(model, batch, out, sp, config)
+            value, _, _ = tr._batch_loss_and_grad(model, batch, out, sp)
             return value
 
         out, acts, masks = tr._forward_sparse(model, batch)
-        _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, sp, config)
+        _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, sp)
         grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
         rows, values = grads_w[0]  # row-sparse first layer, scattered to dense
         grads_w[0] = np.zeros_like(model.weights[0])

@@ -85,16 +85,22 @@ class TestCapacityCommand:
         ]) == 0
 
     def test_parallel_jobs_preserve_output(self, tmp_path):
-        outs = []
-        for jobs, name in ((1, "j1.csv"), (2, "j2.csv")):
-            out = tmp_path / name
-            assert run_cli([
-                "capacity", "--vsa", "hrr,map-c", "--dims", "25,36",
-                "--trials", "2", "--n-max", "11", "--jobs", str(jobs),
-                "--out", str(out),
-            ]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        for fmt in ("csv", "json"):
+            outs = []
+            for jobs in (1, 2):
+                out = tmp_path / f"j{jobs}.{fmt}"
+                assert run_cli([
+                    "capacity", "--vsa", "hrr,map-c", "--dims", "25,36",
+                    "--trials", "2", "--n-max", "11", "--jobs", str(jobs),
+                    "--format", fmt, "--out", str(out),
+                ]) == 0
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        assert run_cli(["capacity", "--vsa", "hrr", "--dims", "25", "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"hrrkit: --jobs must be >= 1, got {jobs}\n"
 
     def test_config_file_defaults_and_overrides(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -107,6 +113,28 @@ class TestCapacityCommand:
         text = out.read_text()
         assert "# trials: 3" in text  # flag beats config
         assert "# dims: ['25']" in text
+
+    def test_config_spellings_give_the_same_bytes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials=1\nn-max=11\n", encoding="utf-8")
+        outs = []
+        for i, spelling in enumerate(
+            (["--config", str(cfg)], [f"--config={cfg}"], ["--conf", str(cfg)])
+        ):
+            out = tmp_path / f"c{i}.csv"
+            assert run_cli(
+                ["capacity", "--vsa", "hrr-proj", "--dims", "16", *spelling, "--out", str(out)]
+            ) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+        assert "# trials: 1\n" in outs[0].decode()
+
+    def test_missing_config_file_exits_2_and_names_it(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        for spelling in (["--config", str(missing)], [f"--config={missing}"]):
+            assert run_cli(["capacity", "--vsa", "hrr", "--dims", "25", *spelling]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("hrrkit: ") and str(missing) in err
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -481,6 +509,21 @@ class TestTrainEvalCommands:
             "train", "--data", str(missing), "--head", "fc", "--hidden", "", "--out", str(ckpt),
         ]) == 2
         assert capsys.readouterr().err == "hrrkit: --hidden needs at least one layer width, got ''\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("hidden", ["0", "8,0", "-4"])
+    def test_train_hidden_width_below_one_exits_2_before_any_work(
+        self, tmp_path, capsys, hidden
+    ):
+        # --data names no file, so reading it first would report that instead
+        ckpt = tmp_path / "x.ckpt"
+        assert run_cli([
+            "train", "--data", str(tmp_path / "missing.txt"), "--head", "fc",
+            "--hidden", hidden, "--out", str(ckpt),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hrrkit: --hidden widths must each be >= 1, got {hidden!r}\n"
+        )
         assert not ckpt.exists()
 
     @pytest.mark.parametrize(

@@ -101,6 +101,12 @@ class TestForward:
         with pytest.raises(ValueError, match="hidden must name at least one layer width"):
             tr.init_model(6, hidden, 6, "fc", seed=5)
 
+    @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-4,)])
+    def test_hidden_width_below_one_raises_and_names_it(self, hidden):
+        with pytest.raises(ValueError) as err:
+            tr.init_model(6, hidden, 6, "fc", seed=5)
+        assert str(err.value) == f"hidden layer widths must be >= 1, got {list(hidden)}"
+
     def test_out_of_range_feature_raises(self):
         model = tr.init_model(6, (4,), 3, "fc", seed=5)
         with pytest.raises(ValueError):
@@ -154,11 +160,11 @@ class TestBackward:
 
         def batch_loss():
             out, _, _ = tr._forward_sparse(model, batch)
-            value, _, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
+            value, _, _ = tr._batch_loss_and_grad(model, batch, out, space)
             return value
 
         out, acts, masks = tr._forward_sparse(model, batch)
-        _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
+        _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space)
         grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
         grads_w = dense_w1_grad(model, grads_w)
         h = 1e-6
@@ -253,7 +259,7 @@ class TestBatchedLoss:
         out, _, _ = tr._forward_sparse(model, batch)
         out *= 3.0  # spread the logits
         loss, grad, split = tr._batch_loss_and_grad(
-            model, batch, out, None, tr.TrainConfig(epochs=0)
+            model, batch, out, None
         )
         losses, ref_grad = [], np.zeros_like(out)
         for row, ex in enumerate(batch.examples):
@@ -278,7 +284,7 @@ class TestBatchedLoss:
         config = tr.TrainConfig(epochs=0)
         matrix = space.class_vectors(np.arange(20)) if precomputed else None
         loss, grad, (j_p, j_n) = tr._batch_loss_and_grad(
-            model, batch, out, space, config, class_matrix=matrix
+            model, batch, out, space, class_matrix=matrix
         )
         parts, ref_grad = [], np.zeros_like(out)
         for row, ex in enumerate(batch.examples):
@@ -592,7 +598,7 @@ class TestTraining:
         for lo in range(0, 80, 32):
             batch = ds.take(order[lo : lo + 32])
             out, acts, masks = tr._forward_sparse(model, batch)
-            _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space, config)
+            _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, space)
             grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
             flat = np.concatenate([g.ravel() for g in dense_w1_grad(model, grads_w) + grads_b])
             norms.append(np.linalg.norm(flat))
