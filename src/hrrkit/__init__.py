@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .core import (
     bind,
-    bind_adjoint,
     cosine_similarity,
     delta,
     exact_inverse,
@@ -39,7 +38,6 @@ __all__ = [
     "VsaKind",
     "__version__",
     "bind",
-    "bind_adjoint",
     "cosine_similarity",
     "decode_threshold",
     "decode_topk",

@@ -37,7 +37,6 @@ from .seeds import mix64, run_ahead
 from .vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
 
 __all__ = [
-    "CapacityTrialConfig",
     "ResponseStats",
     "RetrievalErrorEstimate",
     "build_statement",
@@ -58,28 +57,12 @@ _QUADRATURE_POINTS = 80
 
 
 @dataclasses.dataclass(frozen=True)
-class CapacityTrialConfig:
-    kind: VsaKind
-    d: int
-    n: int
-    trials: int = DEFAULT_TRIALS
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"pair count must be >= 1, got {self.n}")
-        if self.trials < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.trials}")
-
-
-@dataclasses.dataclass(frozen=True)
 class RetrievalErrorEstimate:
     kind: VsaKind
     d: int
     n: int
     trials: int
     p_error: float
-    std: float
     per_trial_errors: tuple
     seconds: float = dataclasses.field(default=0.0, compare=False)  # wall time, telemetry only
 
@@ -109,26 +92,22 @@ def sqrt2_grid(n_max):
     return grid
 
 
-def build_statement(kind, pairs):
-    """Superpose the bindings of (value, key) pairs into one statement.
+def build_statement(kind, xs, ys):
+    """Superpose the bindings of values xs[i] with keys ys[i] into one statement.
 
-    Binding itself is linear for every kind. MAP-C statements are
-    saturated elementwise to {-1, 0, +1} after the summation; entries of a
-    multi-pair sum leave the unit range almost surely, and the hard
-    saturation is what reproduces the published MAP-C capacity knees (a
-    soft clip retains noticeably more capacity than reported).
+    xs and ys are (n, d) arrays with n >= 1. Binding itself is linear for
+    every kind. MAP-C statements are saturated elementwise to {-1, 0, +1}
+    after the summation; entries of a multi-pair sum leave the unit range
+    almost surely, and the hard saturation is what reproduces the published
+    MAP-C capacity knees (a soft clip retains noticeably more capacity than
+    reported).
     """
     kind = VsaKind(kind)
-    if len(pairs) == 0:
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 2 or xs.shape != ys.shape:
+        raise ValueError(f"values and keys must be one (n, d) shape, got {xs.shape}, {ys.shape}")
+    if not len(xs):
         raise ValueError("at least one pair is required")
-    xs = np.stack([np.asarray(x, dtype=np.float64) for x, _ in pairs])
-    ys = np.stack([np.asarray(y, dtype=np.float64) for _, y in pairs])
-    if xs.shape != ys.shape:
-        raise ValueError("pair members must share one dimension")
-    return _statement(kind, xs, ys)
-
-
-def _statement(kind, xs, ys):
     if kind is VsaKind.MAP_C:
         return np.sign((xs * ys).sum(axis=0))
     if kind is VsaKind.VTB:
@@ -156,7 +135,7 @@ def _trial_errors(kind, d, n, base):
         draw = lambda i: vsa_sample(kind, d, mix64(base, i), count=n)
         rows = lambda v: v
         xs, ys = draw(0), draw(1)
-        xhat = vsa_unbind(kind, _statement(kind, xs, ys), ys)
+        xhat = vsa_unbind(kind, build_statement(kind, xs, ys), ys)
     del ys
     # rebind before _unit, so that its temporary never meets the old array
     xhat = rows(xhat)
@@ -169,28 +148,29 @@ def _trial_errors(kind, d, n, base):
     return int(np.count_nonzero(best_distractor > true_sim))
 
 
-def retrieval_error_probability(cfg):
+def retrieval_error_probability(kind, d, n, trials=DEFAULT_TRIALS, seed=0):
     """Estimate the per-item retrieval error rate for one (kind, d, n) cell.
 
-    With two or more usable CPUs the trials run two at a time, the even
-    ones on this thread and the odd ones on a worker (seeds.run_ahead). The
-    counts are taken in trial order, and the first failing trial's error is
-    the one raised, as when they run one after another.
+    Trial t draws its symbols from mix64(seed, t). With two or more usable
+    CPUs the trials run two at a time, the even ones on this thread and the
+    odd ones on a worker (seeds.run_ahead). The counts are taken in trial
+    order, and the first failing trial's error is the one raised, as when
+    they run one after another.
     """
     started = time.perf_counter()
-    kind = VsaKind(cfg.kind)
-    n, d = cfg.n, cfg.d
-    bases = [mix64(cfg.seed, trial) for trial in range(cfg.trials)]
+    kind = VsaKind(kind)
+    if n < 1:
+        raise ValueError(f"pair count must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trial count must be >= 1, got {trials}")
+    bases = [mix64(seed, trial) for trial in range(trials)]
     errors = list(run_ahead(functools.partial(_trial_errors, kind, d, n), bases, alternate=True))
-    per_trial = np.asarray(errors, dtype=np.float64) / n
-    std = float(per_trial.std(ddof=1)) if cfg.trials > 1 else 0.0
     return RetrievalErrorEstimate(
         kind=kind,
         d=d,
         n=n,
-        trials=cfg.trials,
-        p_error=float(sum(errors)) / (n * cfg.trials),
-        std=std,
+        trials=trials,
+        p_error=float(sum(errors)) / (n * trials),
         per_trial_errors=tuple(errors),
         seconds=time.perf_counter() - started,
     )
@@ -242,10 +222,7 @@ def capacity_sweep(
         )
     estimates = []
     for n in grid:
-        cfg = CapacityTrialConfig(
-            kind=kind, d=d, n=n, trials=trials, seed=mix64(seed, _kind_tag(kind), d, n)
-        )
-        est = retrieval_error_probability(cfg)
+        est = retrieval_error_probability(kind, d, n, trials, mix64(seed, _kind_tag(kind), d, n))
         estimates.append(est)
         if est.p_error > threshold:
             return n, False, estimates
@@ -258,7 +235,7 @@ def _kind_tag(kind):
 
 def query_response_distribution(
     d,
-    n_values,
+    n,
     trials=DEFAULT_TRIALS,
     seed=0,
     kind=VsaKind.HRR_PROJECTED,
@@ -266,35 +243,32 @@ def query_response_distribution(
 ):
     """Dot-product responses x . (S (x) y^-1) for present and absent pairs.
 
-    Present queries reuse pairs bound into the statement; absent queries use
-    fresh pairs. The projected variant unbinds with the index-permutation
-    inverse (exact for unitary keys); the naive variant unbinds with the
-    exact spectral inverse, whose instability is the point of the
-    comparison. Statistics pool individual responses across trials.
+    The statement S holds n pairs. Present queries reuse pairs bound into
+    it; absent queries use fresh pairs. The projected variant unbinds with
+    the index-permutation inverse (exact for unitary keys); the naive
+    variant unbinds with the exact spectral inverse, whose instability is
+    the point of the comparison. Statistics pool individual responses
+    across trials; trial t draws from mix64(seed, n, t), so each n's
+    statistics depend only on the seed, n and the trial count.
     """
     kind = VsaKind(kind)
     if kind not in (VsaKind.HRR_NAIVE, VsaKind.HRR_PROJECTED):
         raise ValueError("response distribution is defined for the HRR variants")
-    counts = [("trial count", trials), ("query count", max_queries)]
-    for name, value in counts + [("pair count", n) for n in n_values]:
+    for name, value in [("trial count", trials), ("query count", max_queries), ("pair count", n)]:
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
-    out = []
-    for n in n_values:
-        q = min(int(n), max_queries)
-        draws = [_responses(kind, d, int(n), q, mix64(seed, n, trial)) for trial in range(trials)]
-        present = np.concatenate([p for p, _ in draws])
-        absent = np.concatenate([a for _, a in draws])
-        out.append(
-            ResponseStats(
-                n=int(n),
-                mean_present=float(present.mean()),
-                std_present=float(present.std()),
-                mean_absent=float(absent.mean()),
-                std_absent=float(absent.std()),
-            )
-        )
-    return out
+    n = int(n)
+    q = min(n, max_queries)
+    draws = [_responses(kind, d, n, q, mix64(seed, n, trial)) for trial in range(trials)]
+    present = np.concatenate([p for p, _ in draws])
+    absent = np.concatenate([a for _, a in draws])
+    return ResponseStats(
+        n=n,
+        mean_present=float(present.mean()),
+        std_present=float(present.std()),
+        mean_absent=float(absent.mean()),
+        std_absent=float(absent.std()),
+    )
 
 
 def _responses(kind, d, n, q, base):

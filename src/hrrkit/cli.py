@@ -24,7 +24,7 @@ from . import metrics as metricsmod
 from . import trainer as trainermod
 from .capacity import MIN_PAIRS, ResponseStats, capacity_sweep
 from .capacity import predicted_error, query_response_distribution
-from .vsa import VsaKind
+from .vsa import VsaKind, _check_dim
 
 _EXIT_USAGE = 2
 _EXIT_DIVERGED = 3
@@ -86,10 +86,6 @@ def _check_min(args, **minimums):
             raise ValueError(f"--{key.replace('_', '-')} must be >= {low}, got {value}")
 
 
-def _read_dataset(args, path):
-    return dataio.parse_xml_repo(path, one_based=args.one_based)
-
-
 def _vsa_list(values):
     return [VsaKind(tok) for value in values for tok in str(value).split(",") if tok]
 
@@ -114,6 +110,8 @@ def cmd_capacity(args):
     order = list(VsaKind)
     cells = sorted(((kind, d) for kind in kinds for d in dims),
                    key=lambda cell: (order.index(cell[0]), cell[1]))
+    for kind, d in cells:  # every cell's dimension, before the first sweep runs
+        _check_dim(kind, d)
     sweep = functools.partial(capacity_sweep, threshold=args.threshold, seed=args.seed,
                               trials=args.trials, n_max=args.n_max)
     if args.jobs > 1:
@@ -158,14 +156,8 @@ def cmd_response(args):
     stats, timings = [], []
     for n in n_values:
         started = time.perf_counter()
-        stats += query_response_distribution(
-            args.dim,
-            [n],
-            trials=args.trials,
-            seed=args.seed,
-            kind=VsaKind(args.kind),
-            max_queries=args.queries,
-        )
+        stats.append(query_response_distribution(args.dim, n, trials=args.trials, seed=args.seed,
+                                                 kind=VsaKind(args.kind), max_queries=args.queries))
         timings.append({"n": n, "seconds": time.perf_counter() - started})
     manifest = _manifest("response", args)
     if args.stats:
@@ -196,7 +188,7 @@ def cmd_train(args):
         dropout=args.dropout,
         seed=args.seed,
     )
-    dataset = _read_dataset(args, args.data)
+    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
     label_seed = args.label_seed if args.label_seed is not None else args.seed
     if args.head == "hrr":
         out_dim = args.d_prime
@@ -207,7 +199,9 @@ def cmd_train(args):
     model = trainermod.init_model(
         dataset.n_features, hidden, out_dim, args.head, seed=args.seed
     )
-    val = _read_dataset(args, args.val_data) if args.val_data else None
+    val = None
+    if args.val_data:
+        val = dataio.parse_xml_repo(args.val_data, one_based=args.one_based)
     model, stats = trainermod.train(model, dataset, config, space=space, val_dataset=val)
     meta = {
         "n_features": dataset.n_features,
@@ -249,9 +243,14 @@ def cmd_eval(args):
         raise ValueError(f"--k needs one or more cutoffs, each >= 1, got {args.k!r}")
     if (args.checkpoint is None) == (args.predictions is None):
         raise ValueError("provide exactly one of --checkpoint or --predictions")
-    dataset = _read_dataset(args, args.data)
+    dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
+    if max(ks) > dataset.n_labels:
+        raise ValueError(
+            f"--k cutoff {max(ks)} exceeds the {dataset.n_labels} labels of --data {args.data}"
+        )
     propensities = dataio.compute_propensities(  # only this L-vector outlives --train-data
-        _read_dataset(args, args.train_data) if args.train_data else dataset
+        dataio.parse_xml_repo(args.train_data, one_based=args.one_based)
+        if args.train_data else dataset
     )
     if propensities.size != dataset.n_labels:
         raise ValueError(

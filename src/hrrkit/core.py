@@ -25,7 +25,6 @@ import numpy as np
 __all__ = [
     "SpectralInverseError",
     "bind",
-    "bind_adjoint",
     "bind_sum",
     "cosine_similarity",
     "delta",
@@ -142,7 +141,12 @@ def pseudo_inverse(a):
 
 
 def unbind(s, y):
-    """Recover the partner bound with y inside s: bind(s, pseudo_inverse(y))."""
+    """Recover the partner bound with y inside s: bind(s, pseudo_inverse(y)).
+
+    This is circular correlation with y, the adjoint of the linear map
+    a -> bind(a, y): <bind(a, y), s> == <a, unbind(s, y)>, which makes it
+    the building block for backpropagating through binding.
+    """
     return bind(s, pseudo_inverse(y))
 
 
@@ -163,15 +167,6 @@ def unbind_spectra(s, y, exact=False):
     fits = conj.shape == np.broadcast_shapes(np.shape(s), conj.shape)
     fits = fits and conj.dtype == np.result_type(s, conj)
     return np.multiply(s, conj, out=conj if fits else None)
-
-
-def bind_adjoint(g, b):
-    """Adjoint of the linear map a -> bind(a, b); circular correlation with b.
-
-    Satisfies <bind(a, b), g> == <a, bind_adjoint(g, b)> and is the
-    building block for backpropagating through binding.
-    """
-    return bind(g, pseudo_inverse(b))
 
 
 def project(x, eps=PROJECT_EPS):

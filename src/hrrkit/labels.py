@@ -49,7 +49,6 @@ from .seeds import mix64, mix64_array, pcg64_generators, run_ahead
 __all__ = [
     "LabelSpace",
     "LossBreakdown",
-    "class_scores",
     "decode_threshold",
     "decode_topk",
     "encode_labels",
@@ -109,13 +108,10 @@ class LabelSpace:
         self.m = m * (np.linalg.norm(self.p) / np.linalg.norm(m))
         self.roles = np.stack([self.p, self.m])
 
-    def class_seed(self, index):
-        return mix64(self.seed, index)
-
     def class_vectors(self, indices):
         """Regenerate class vectors for the given indices, one per row.
 
-        Row k is core.sample_unitary(dim, class_seed(indices[k])), bit for
+        Row k is core.sample_unitary(dim, mix64(seed, indices[k])), bit for
         bit: mix64(seed, i) -> SeedSequence -> PCG64 -> N(0, 1) draws /
         sqrt(dim) -> project(eps=0). The SeedSequence state words of all
         rows come from one vectorized pass; each row's PCG64 is then seeded
@@ -128,9 +124,6 @@ class LabelSpace:
             rng.standard_normal(out=row)
         rows /= np.sqrt(self.dim)
         return core.project(rows, eps=0.0)
-
-    def class_vector(self, index):
-        return self.class_vectors([index])[0]
 
     def iter_class_blocks(self):
         """Yield (start, vectors) chunks covering all classes in order.
@@ -272,15 +265,6 @@ def loss_with_gradient(space, s_hat, labels):
     return LossBreakdown(float(j_p[0]), float(j_n[0]), degenerate=not present.size), grad[0]
 
 
-def class_scores(space, s_hat):
-    """Dot products of every class vector with the role-p unbinding.
-
-    Scores are computed by streaming class regeneration in fixed-size
-    blocks; memory stays O(block * dim) plus the L-vector of scores.
-    """
-    return np.concatenate([row for _, (row,) in score_blocks(space, _prediction(space, s_hat))])
-
-
 def score_blocks(space, s_hat):
     """(start, scores) for each block of classes, in order, against B predictions.
 
@@ -343,6 +327,11 @@ def decode_topk(space, s_hat, k):
 
 
 def decode_threshold(space, s_hat, tau=0.5):
-    """Sorted indices of all classes scoring strictly above tau."""
-    scores = class_scores(space, s_hat)
+    """Sorted indices of all classes scoring strictly above tau.
+
+    A class's score is the dot product of its vector with the role-p
+    unbinding. The classes are scored block by block (score_blocks), so
+    memory stays O(block * dim) plus the L-vector of scores.
+    """
+    scores = np.concatenate([row for _, (row,) in score_blocks(space, _prediction(space, s_hat))])
     return np.nonzero(scores > tau)[0].tolist()

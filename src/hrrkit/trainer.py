@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from . import data
 from . import labels as labelcodec
 from . import metrics
 from .seeds import mix64
@@ -34,10 +33,8 @@ __all__ = [
     "MlpModel",
     "TrainConfig",
     "TrainingDivergedError",
-    "bce_loss",
     "check_dataset",
     "compression_percent",
-    "forward",
     "init_model",
     "load_checkpoint",
     "param_count",
@@ -158,15 +155,6 @@ def _forward_sparse(model, batch, dropout=0.0, rng=None):
     return z, acts, masks
 
 
-def forward(model, feat_idx, feat_val):
-    """Output vector for one sparse example (logits or statement vector)."""
-    idx, n_features = np.asarray(feat_idx, dtype=np.int64), model.weights[0].shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= n_features):
-        raise ValueError("feature index out of range for this model")
-    batch = data.SparseDataset(n_features, 0, [0, idx.size], idx, feat_val, [0, 0], [])
-    return _forward_sparse(model, batch)[0][0]
-
-
 # Gradient of the first-layer weights at the sorted unique feature rows a
 # batch touches; every other row's gradient is zero.
 _RowGrad = collections.namedtuple("_RowGrad", "rows values")
@@ -200,16 +188,6 @@ def _backward_sparse(model, batch, acts, masks, grad_out):
 def _bce_rows(z, y):
     # -[y log s(z) + (1-y) log(1 - s(z))] = max(z,0) - z y + log(1 + e^-|z|)
     return (np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).mean(axis=-1)
-
-
-def bce_loss(logits, label_set, n_labels):
-    """Mean binary cross entropy over all labels, log-sum-exp stabilized."""
-    z = np.asarray(logits, dtype=np.float64)
-    if z.shape != (n_labels,):
-        raise ValueError(f"expected {n_labels} logits, got shape {z.shape}")
-    y = np.zeros(n_labels)
-    y[np.asarray(list(label_set), dtype=np.int64)] = 1.0
-    return float(_bce_rows(z, y))
 
 
 def _bce_grad(logits, y):

@@ -12,7 +12,6 @@ import pytest
 
 from hrrkit import capacity, cli, core, seeds
 from hrrkit.capacity import (
-    CapacityTrialConfig,
     build_statement,
     capacity_sweep,
     predicted_error,
@@ -43,24 +42,23 @@ class TestBuildStatement:
         rng = np.random.default_rng(0)
         x, y = rng.standard_normal(d), rng.standard_normal(d)
         np.testing.assert_allclose(
-            build_statement(kind, [(x, y)]), vsa_bind(kind, x, y), atol=1e-12
+            build_statement(kind, [x], [y]), vsa_bind(kind, x, y), atol=1e-12
         )
 
     def test_single_pair_mapc_is_saturated_binding(self):
         rng = np.random.default_rng(1)
         x, y = rng.uniform(-1, 1, 16), rng.uniform(-1, 1, 16)
         np.testing.assert_array_equal(
-            build_statement(VsaKind.MAP_C, [(x, y)]),
+            build_statement(VsaKind.MAP_C, [x], [y]),
             np.sign(vsa_bind(VsaKind.MAP_C, x, y)),
         )
 
     def test_disjoint_delta_pairs_sum_elementwise(self):
         d = 8
         e = np.eye(d)
-        pairs = [(e[0], e[1]), (e[2], e[3])]
         expected = core.bind(e[0], e[1]) + core.bind(e[2], e[3])
         np.testing.assert_allclose(
-            build_statement(VsaKind.HRR_NAIVE, pairs), expected, atol=1e-12
+            build_statement(VsaKind.HRR_NAIVE, e[[0, 2]], e[[1, 3]]), expected, atol=1e-12
         )
 
     @pytest.mark.parametrize("kind", list(VsaKind))
@@ -73,12 +71,12 @@ class TestBuildStatement:
         want = vsa_bind(kind, xs, ys).sum(axis=0)
         if kind is VsaKind.MAP_C:
             want = np.sign(want)
-        got = build_statement(kind, list(zip(xs, ys)))
+        got = build_statement(kind, xs, ys)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_empty_pairs_raise(self):
         with pytest.raises(ValueError):
-            build_statement(VsaKind.HRR_NAIVE, [])
+            build_statement(VsaKind.HRR_NAIVE, np.empty((0, 8)), np.empty((0, 8)))
 
 
 class TestRetrievalError:
@@ -89,7 +87,7 @@ class TestRetrievalError:
         e = np.eye(d)
         pairs = [(e[i], e[8 + i]) for i in range(4)]
         distractors = [e[20 + j] for j in range(4)]
-        s = build_statement(VsaKind.HRR_PROJECTED, pairs)
+        s = build_statement(VsaKind.HRR_PROJECTED, e[0:4], e[8:12])
         errors = 0
         for value, key in pairs:
             xhat = vsa_unbind(VsaKind.HRR_PROJECTED, s, key)
@@ -99,26 +97,24 @@ class TestRetrievalError:
         assert errors == 0
 
     def test_projected_small_load_is_reliable(self):
-        est = retrieval_error_probability(
-            CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=256, n=8, seed=0)
-        )
+        est = retrieval_error_probability(VsaKind.HRR_PROJECTED, d=256, n=8, seed=0)
         assert est.p_error <= 0.05
 
     def test_naive_saturates_at_high_load(self):
-        est = retrieval_error_probability(
-            CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=256, n=1024, trials=2, seed=0)
-        )
+        est = retrieval_error_probability(VsaKind.HRR_NAIVE, d=256, n=1024, trials=2, seed=0)
         assert est.p_error > 0.95
 
     def test_deterministic_given_config(self):
-        cfg = CapacityTrialConfig(kind=VsaKind.VTB, d=64, n=11, seed=3)
-        a = retrieval_error_probability(cfg)
-        b = retrieval_error_probability(cfg)
+        cfg = dict(kind=VsaKind.VTB, d=64, n=11, seed=3)
+        a = retrieval_error_probability(**cfg)
+        b = retrieval_error_probability(**cfg)
         assert a == b
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            CapacityTrialConfig(kind=VsaKind.VTB, d=64, n=0)
+            retrieval_error_probability(VsaKind.VTB, d=64, n=0)
+        with pytest.raises(ValueError, match="trial count must be >= 1, got 0"):
+            retrieval_error_probability(VsaKind.VTB, d=64, n=11, trials=0)
 
 
 class TestCapacity:
@@ -158,30 +154,30 @@ class TestCapacity:
 
 class TestResponses:
     def test_single_unitary_pair_responds_exactly_one(self):
-        stats = query_response_distribution(64, [1], trials=3, seed=0)
-        assert stats[0].mean_present == pytest.approx(1.0, abs=1e-8)
-        assert stats[0].std_present == pytest.approx(0.0, abs=1e-8)
+        stats = query_response_distribution(64, 1, trials=3, seed=0)
+        assert stats.mean_present == pytest.approx(1.0, abs=1e-8)
+        assert stats.std_present == pytest.approx(0.0, abs=1e-8)
 
     def test_small_statement_matches_published_point(self):
-        stats = query_response_distribution(256, [4], trials=10, seed=0)
-        assert stats[0].mean_present == pytest.approx(0.96, abs=0.2)
-        assert stats[0].mean_absent == pytest.approx(-0.06, abs=0.2)
+        stats = query_response_distribution(256, 4, trials=10, seed=0)
+        assert stats.mean_present == pytest.approx(0.96, abs=0.2)
+        assert stats.mean_absent == pytest.approx(-0.06, abs=0.2)
 
     def test_large_statement_keeps_mean_despite_noise(self):
         stats = query_response_distribution(
-            256, [65536], trials=6, seed=0, max_queries=1024
+            256, 65536, trials=6, seed=0, max_queries=1024
         )
-        assert stats[0].mean_present == pytest.approx(0.99, abs=0.3)
-        assert stats[0].mean_absent == pytest.approx(-0.05, abs=0.3)
+        assert stats.mean_present == pytest.approx(0.99, abs=0.3)
+        assert stats.mean_absent == pytest.approx(-0.05, abs=0.3)
 
     def test_rejects_non_hrr_kinds(self):
         with pytest.raises(ValueError):
-            query_response_distribution(64, [4], kind=VsaKind.MAP_C)
+            query_response_distribution(64, 4, kind=VsaKind.MAP_C)
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"n_values": [4, 0]}, "pair count must be >= 1, got 0"),
+            ({"n": 0}, "pair count must be >= 1, got 0"),
             ({"trials": 0}, "trial count must be >= 1, got 0"),
             ({"max_queries": 0}, "query count must be >= 1, got 0"),
         ],
@@ -190,8 +186,8 @@ class TestResponses:
         def no_sampling(*args, **kw):
             raise AssertionError("sampled before validating")
 
-        monkeypatch.setattr(capacity, "vsa_sample", no_sampling)
-        args = {"d": 64, "n_values": [4, 8], **kwargs}
+        monkeypatch.setattr(core, "sample_spectra", no_sampling)
+        args = {"d": 64, "n": 4, **kwargs}
         with pytest.raises(ValueError, match=message):
             query_response_distribution(**args)
 
@@ -216,13 +212,13 @@ def divide_through(s, ys):
     return np.fft.irfft(np.fft.rfft(s) / np.fft.rfft(ys), n=ys.shape[1])
 
 
-def reference_trial_errors(cfg, planted=()):
+def reference_trial_errors(kind, d, n, trials, seed, planted=()):
     # planted maps a trial to the (row, bin) of its keys set to TINY; that
     # trial's keys are divided through, as exact_inverse would refuse them.
-    kind, n, d = VsaKind(cfg.kind), cfg.n, cfg.d
+    kind = VsaKind(kind)
     errors = []
-    for trial in range(cfg.trials):
-        base = mix64(cfg.seed, trial)
+    for trial in range(trials):
+        base = mix64(seed, trial)
         xs = vsa_sample(kind, d, mix64(base, 0), count=n)
         ys = vsa_sample(kind, d, mix64(base, 1), count=n)
         zs = vsa_sample(kind, d, mix64(base, 2), count=n)
@@ -274,9 +270,9 @@ class TestSpectralTrials:
     def test_error_counts_equal_the_time_domain_trial(self, kind, d):
         for n in (1, 8, 45, 128):
             for seed in range(3):
-                cfg = CapacityTrialConfig(kind=kind, d=d, n=n, trials=3, seed=seed)
-                got = retrieval_error_probability(cfg).per_trial_errors
-                assert got == reference_trial_errors(cfg), (n, seed)
+                cfg = dict(kind=kind, d=d, n=n, trials=3, seed=seed)
+                got = retrieval_error_probability(**cfg).per_trial_errors
+                assert got == reference_trial_errors(**cfg), (n, seed)
 
     @pytest.mark.parametrize("kind", HRR_KINDS)
     @pytest.mark.parametrize(
@@ -288,9 +284,10 @@ class TestSpectralTrials:
         ],
     )
     def test_response_stats_equal_the_time_domain_loop(self, kind, n_values, max_queries):
-        got = query_response_distribution(
-            64, n_values, trials=2, seed=5, kind=kind, max_queries=max_queries
-        )
+        got = [
+            query_response_distribution(64, n, trials=2, seed=5, kind=kind, max_queries=max_queries)
+            for n in n_values
+        ]
         want = reference_responses(64, n_values, 2, 5, kind, max_queries)
         assert [s.n for s in got] == n_values
         for stats, ref in zip(got, want):
@@ -315,12 +312,12 @@ class TestSpectralTrials:
         return planted  # the planted key, in the time domain, once drawn
 
     def test_naive_trial_divides_through_a_tiny_key_bin(self, monkeypatch):
-        cfg = CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=2, seed=9)
-        keys = mix64(mix64(cfg.seed, 1), 1)  # trial 1's keys
+        cfg = dict(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=2, seed=9)
+        keys = mix64(mix64(cfg["seed"], 1), 1)  # trial 1's keys
         planted = self.planted_bin_sampler(monkeypatch, keys, row=13, bin_=5, value=TINY)
-        got = retrieval_error_probability(cfg).per_trial_errors
+        got = retrieval_error_probability(**cfg).per_trial_errors
         monkeypatch.undo()
-        assert got == reference_trial_errors(cfg, planted={1: (13, 5)})
+        assert got == reference_trial_errors(**cfg, planted={1: (13, 5)})
         with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 has magnitude"):
             core.exact_inverse(planted[0])
 
@@ -328,7 +325,7 @@ class TestSpectralTrials:
         n = BLOCK + 40
         keys = mix64(mix64(3, n, 0), 1)
         planted = self.planted_bin_sampler(monkeypatch, keys, row=7, bin_=32, value=TINY)  # Nyquist at d=64
-        (got,) = query_response_distribution(64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE)
+        got = query_response_distribution(64, n, trials=1, seed=3, kind=VsaKind.HRR_NAIVE)
         monkeypatch.undo()
         (want,) = reference_responses(64, [n], 1, 3, VsaKind.HRR_NAIVE, 256, planted={(n, 0): (7, 32)})
         values = (got.mean_present, got.std_present, got.mean_absent, got.std_absent)
@@ -343,8 +340,8 @@ class TestSpectralTrials:
         n = BLOCK + 40
         keys = mix64(mix64(3, n, 0), 1)
         self.planted_bin_sampler(monkeypatch, keys, row=BLOCK + 1, bin_=5, value=0.0)
-        (stats,) = query_response_distribution(
-            64, [n], trials=1, seed=3, kind=VsaKind.HRR_NAIVE, max_queries=16
+        stats = query_response_distribution(
+            64, n, trials=1, seed=3, kind=VsaKind.HRR_NAIVE, max_queries=16
         )
         assert np.isfinite(stats.mean_present)
 
@@ -356,7 +353,7 @@ class TestSpectralTrials:
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            query_response_distribution(256, [65536], trials=1, seed=0)
+            query_response_distribution(256, 65536, trials=1, seed=0)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -395,9 +392,7 @@ class TestPredictedError:
     )
     def test_monte_carlo_agrees_with_the_model(self, d, n):
         trials = 10
-        est = retrieval_error_probability(
-            CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=d, n=n, trials=trials, seed=3)
-        )
+        est = retrieval_error_probability(VsaKind.HRR_PROJECTED, d, n, trials=trials, seed=3)
         p = predicted_error(d, n)
         binomial = 3 * math.sqrt(p * (1 - p) / (n * trials))
         assert abs(est.p_error - p) <= binomial + self.MODEL_BAND, (est.p_error, p)
@@ -405,9 +400,7 @@ class TestPredictedError:
     @pytest.mark.parametrize("d, n", [(256, 11), (256, 16), (1024, 32), (1024, 45)])
     def test_model_is_conservative_near_the_knee(self, d, n):
         trials = 10
-        est = retrieval_error_probability(
-            CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=d, n=n, trials=trials, seed=3)
-        )
+        est = retrieval_error_probability(VsaKind.HRR_PROJECTED, d, n, trials=trials, seed=3)
         p = predicted_error(d, n)
         assert est.p_error <= p + 3 * math.sqrt(p * (1 - p) / (n * trials)), (est.p_error, p)
 
@@ -432,14 +425,14 @@ class TestWorkerThread:
     @pytest.mark.parametrize("kind", list(VsaKind))
     @pytest.mark.parametrize("d, n", [(4096, 128), (121, 45)])  # 121 is odd: no Nyquist bin
     def test_per_trial_errors_equal_the_inline_path(self, kind, d, n, monkeypatch):
-        cfg = CapacityTrialConfig(kind=kind, d=d, n=n, trials=5, seed=11)
+        cfg = dict(kind=kind, d=d, n=n, trials=5, seed=11)
         threads = trial_threads(monkeypatch)
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
-        inline = retrieval_error_probability(cfg)
+        inline = retrieval_error_probability(**cfg)
         assert set(threads.values()) == {threading.main_thread()}
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
-        pooled = retrieval_error_probability(cfg)
-        on_main = [threads[mix64(cfg.seed, t)] is threading.main_thread() for t in range(cfg.trials)]
+        pooled = retrieval_error_probability(**cfg)
+        on_main = [threads[mix64(11, t)] is threading.main_thread() for t in range(5)]
         assert on_main == [True, False, True, False, True]
         assert pooled == inline
         assert pooled.per_trial_errors == inline.per_trial_errors
@@ -450,8 +443,8 @@ class TestWorkerThread:
         # its error is the one raised, whichever thread ran it (trial 1 runs
         # on the worker; trials 0 and 2 on this thread).
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
-        cfg = CapacityTrialConfig(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=4, seed=9)
-        bases = lambda trial: mix64(cfg.seed, trial)
+        cfg = dict(kind=VsaKind.HRR_NAIVE, d=64, n=20, trials=4, seed=9)
+        bases = lambda trial: mix64(cfg["seed"], trial)
         planted = {bases(first): (13, 5), bases(second): (4, 7)}
         original = capacity._trial_errors
         ran_on = {}
@@ -468,12 +461,12 @@ class TestWorkerThread:
         monkeypatch.setattr(capacity, "_trial_errors", failing)
         before = threading.active_count()
         with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
-            retrieval_error_probability(cfg)
+            retrieval_error_probability(**cfg)
         assert ran_on[bases(1)] is not threading.main_thread()
         assert threading.active_count() == before
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
         with pytest.raises(core.SpectralInverseError, match=r"^spectral bin 5 of row 13 "):
-            retrieval_error_probability(cfg)
+            retrieval_error_probability(**cfg)
 
     @pytest.mark.parametrize("kind", HRR_KINDS)
     def test_response_with_the_worker_equals_inline(self, kind, monkeypatch):
@@ -486,7 +479,9 @@ class TestWorkerThread:
                 yield spec
 
         monkeypatch.setattr(core, "sample_spectra", recording)
-        run = lambda: query_response_distribution(64, [3 * BLOCK + 5, 300], trials=2, seed=4, kind=kind)
+        run = lambda: [
+            query_response_distribution(64, n, trials=2, seed=4, kind=kind) for n in (3 * BLOCK + 5, 300)
+        ]
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 1)
         inline = run()
         assert drawn_on == {threading.main_thread()}
@@ -499,12 +494,11 @@ class TestWorkerThread:
         # complex arrays: 6 * 128 * 2049 * 16 B = 25.2 MB, plus 1.8 MB for
         # the small arrays. One trial alone peaked at 29.5 MB when it kept
         # every array to the end.
-        cfg = CapacityTrialConfig(kind=VsaKind.HRR_PROJECTED, d=4096, n=128, trials=10, seed=3)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            retrieval_error_probability(cfg)
+            retrieval_error_probability(VsaKind.HRR_PROJECTED, d=4096, n=128, trials=10, seed=3)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()

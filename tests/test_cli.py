@@ -8,6 +8,7 @@ import signal
 import numpy as np
 import pytest
 
+from hrrkit import cli
 from hrrkit import data as dataio
 from hrrkit import trainer as tr
 from hrrkit.capacity import predicted_error, query_response_distribution
@@ -96,6 +97,15 @@ class TestCapacityCommand:
                 ]) == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("vsa, dims, message", [
+        ("hrr-proj,vtb", "1024,1000", "vtb requires a perfect-square dimension, got 1000"),
+        ("hrr,map-c", "64,1", "dimension must be >= 2, got 1"),
+    ])
+    def test_bad_cell_exits_2_before_any_sweep(self, monkeypatch, capsys, vsa, dims, message):
+        monkeypatch.setattr(cli, "capacity_sweep", lambda *a, **kw: pytest.fail("a sweep ran"))
+        assert run_cli(["capacity", "--vsa", vsa, "--dims", dims]) == 2
+        assert capsys.readouterr().err == f"hrrkit: {message}\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, jobs, capsys):
@@ -214,8 +224,8 @@ class TestStatsOutput:
         ])
         assert [r["n"] for r in rows] == [4, 8, 16]
         assert all(set(r) == {"n", "seconds"} for r in rows)
-        # One call per n gives the rows of one call over all of them.
-        want = query_response_distribution(64, [4, 8, 16], trials=2, seed=9)
+        # The rows are one library call per n.
+        want = [query_response_distribution(64, n, trials=2, seed=9) for n in (4, 8, 16)]
         assert payload["rows"] == [dataclasses.asdict(s) for s in want]
 
 
@@ -435,6 +445,28 @@ class TestTrainEvalCommands:
             "eval", "--data", str(data_path), "--checkpoint", str(ckpt), f"--k={k}", "--out", str(out),
         ]) == 2
         assert capsys.readouterr().err == f"hrrkit: --k needs one or more cutoffs, each >= 1, got {k!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["--checkpoint", "--predictions"])
+    def test_eval_cutoff_above_label_count_exits_2_after_reading_data(
+        self, tmp_path, capsys, monkeypatch, mode
+    ):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        source = tmp_path / "source"
+        if mode == "--checkpoint":
+            tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), source)
+        else:
+            source.write_text("0\n1\n2\n3\n", encoding="utf-8")
+        monkeypatch.setattr(tr, "load_checkpoint", lambda *a, **kw: pytest.fail("checkpoint loaded"))
+        monkeypatch.setattr(tr, "predict_rankings", lambda *a, **kw: pytest.fail("decoded"))
+        out = tmp_path / "report.json"
+        assert run_cli([
+            "eval", "--data", str(data_path), mode, str(source), "--k", "1,21,20",
+            "--train-data", str(tmp_path / "missing-train.txt"), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hrrkit: --k cutoff 21 exceeds the 20 labels of --data {data_path}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("sources", [[], ["--checkpoint", "m.ckpt", "--predictions", "p.txt"]])

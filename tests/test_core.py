@@ -215,18 +215,18 @@ class TestBindAdjoint:
     def test_adjoint_identity(self):
         a, b, g = (_gauss(32, s) for s in (28, 29, 30))
         lhs = core.bind(a, b) @ g
-        rhs = a @ core.bind_adjoint(g, b)
+        rhs = a @ core.unbind(g, b)
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_delta_key_is_identity(self):
         g = _gauss(16, 31)
-        np.testing.assert_allclose(core.bind_adjoint(g, core.delta(16)), g, atol=1e-12)
+        np.testing.assert_allclose(core.unbind(g, core.delta(16)), g, atol=1e-12)
 
     def test_matches_finite_differences_of_energy(self):
-        # grad_a ||bind(a, b)||^2 == 2 * bind_adjoint(bind(a, b), b)
+        # grad_a ||bind(a, b)||^2 == 2 * unbind(bind(a, b), b)
         d = 16
         a, b = _gauss(d, 32), _gauss(d, 33)
-        analytic = 2.0 * core.bind_adjoint(core.bind(a, b), b)
+        analytic = 2.0 * core.unbind(core.bind(a, b), b)
         h = 1e-6
         fd = np.zeros(d)
         for j in range(d):

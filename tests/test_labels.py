@@ -12,6 +12,7 @@ from hrrkit import core
 from hrrkit import data as dataio
 from hrrkit import labels as lb
 from hrrkit import trainer as tr
+from hrrkit.seeds import mix64
 
 
 def encode_direct(space, present):
@@ -25,10 +26,10 @@ def encode_direct(space, present):
     absent = [i for i in range(space.n_classes) if i not in present]
     out = np.zeros(space.dim)
     for i in sorted(present):
-        out += core.bind(space.p, space.class_vector(i))
+        out += core.bind(space.p, space.class_vectors([i])[0])
     w = 1.0 / np.sqrt(len(absent)) if absent else 1.0
     for i in absent:
-        out += w * core.bind(space.m, space.class_vector(i))
+        out += w * core.bind(space.m, space.class_vectors([i])[0])
     return out
 
 
@@ -43,14 +44,14 @@ class TestLabelSpace:
 
     def test_class_vectors_regenerate_deterministically(self):
         sp = lb.make_label_space(50, 64, seed=1)
-        np.testing.assert_array_equal(sp.class_vector(17), sp.class_vector(17))
+        np.testing.assert_array_equal(sp.class_vectors([17])[0], sp.class_vectors([17])[0])
         np.testing.assert_array_equal(
-            sp.class_vector(17), core.sample_unitary(64, sp.class_seed(17))
+            sp.class_vectors([17])[0], core.sample_unitary(64, mix64(sp.seed, 17))
         )
 
     def test_all_classes_vector_matches_explicit_sum(self):
         sp = lb.make_label_space(37, 64, seed=2)
-        total = sum(sp.class_vector(i) for i in range(37))
+        total = sum(sp.class_vectors([i])[0] for i in range(37))
         np.testing.assert_allclose(sp.all_classes, total, atol=1e-8)
 
     def test_construction_regenerates_no_class_vectors(self, monkeypatch):
@@ -75,13 +76,13 @@ class TestLabelSpace:
         sims = []
         for _ in range(100):
             i, j = rng.choice(1000, size=2, replace=False)
-            sims.append(abs(core.cosine_similarity(sp.class_vector(i), sp.class_vector(j))))
+            sims.append(abs(core.cosine_similarity(sp.class_vectors([i])[0], sp.class_vectors([j])[0])))
         assert np.mean(sims) < 0.1
 
     def test_out_of_range_index_raises(self):
         sp = lb.make_label_space(5, 32, seed=5)
         with pytest.raises(IndexError):
-            sp.class_vector(5)
+            sp.class_vectors([5])[0]
         for bad in ([0, 5, 1], [2, -1]):
             with pytest.raises(IndexError, match=rf"^class index {bad[1]} out of range \[0, 5\)$"):
                 sp.class_vectors(bad)
@@ -90,7 +91,7 @@ class TestLabelSpace:
 def sample_unitary_rows(space, indices):
     """Per-class reference: one SeedSequence, PCG64 and draw per class."""
     return np.stack(
-        [core.sample_unitary(space.dim, space.class_seed(int(i))) for i in indices]
+        [core.sample_unitary(space.dim, mix64(space.seed, int(i))) for i in indices]
     )
 
 
@@ -115,7 +116,7 @@ class TestBatchedClassVectors:
         np.testing.assert_array_equal(got[1], got[5])
         single = sp.class_vectors(7)
         assert single.shape == (1, 64)
-        np.testing.assert_array_equal(sp.class_vector(7), single[0])
+        np.testing.assert_array_equal(sp.class_vectors([7])[0], single[0])
 
 
 def pin_cpus(monkeypatch, n):
@@ -442,6 +443,11 @@ def stable_topk(scores, k):
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
+def class_scores(space, s_hat):
+    """Every class's score for one prediction, joined from score_blocks."""
+    return np.concatenate([row for _, (row,) in lb.score_blocks(space, s_hat[None])])
+
+
 class TestTopk:
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
@@ -568,7 +574,9 @@ class TestTopk:
         s_hat = core.sample_standard(16, 8)
         query = core.unbind(s_hat, sp.p)
         want = sp.class_vectors(np.arange(1100)) @ query
-        np.testing.assert_allclose(lb.class_scores(sp, s_hat), want, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(class_scores(sp, s_hat), want, rtol=1e-12, atol=1e-14)
+        tau = np.sort(want)[[999, 1000]].mean()  # the 100 best classes, across blocks
+        assert lb.decode_threshold(sp, s_hat, tau) == np.flatnonzero(want > tau).tolist()
 
     def test_score_blocks_of_a_batch_match_class_scores_row_by_row(self):
         sp = lb.make_label_space(1100, 16, seed=25)
@@ -576,13 +584,13 @@ class TestTopk:
         blocks = list(lb.score_blocks(sp, s_hat))
         assert [start for start, _ in blocks] == [0, 512, 1024]
         scores = np.concatenate([block for _, block in blocks], axis=1)
-        want = np.stack([lb.class_scores(sp, row) for row in s_hat])
+        want = np.stack([class_scores(sp, row) for row in s_hat])
         np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-14)
 
     def test_decode_topk_matches_full_argsort_of_class_scores(self):
         sp = lb.make_label_space(1100, 16, seed=24)
         s_hat = core.sample_standard(16, 9)
-        scores = lb.class_scores(sp, s_hat)
+        scores = class_scores(sp, s_hat)
         for k in (1, 5, 600, 1100):
             got = lb.decode_topk(sp, s_hat, k)
             assert got == np.argsort(-scores, kind="stable")[:k].tolist()
