@@ -10,49 +10,3 @@ trainer (hrrkit.trainer), ranking metrics (hrrkit.metrics), and a CLI
 """
 
 __version__ = "0.1.0"
-
-from .core import (
-    bind,
-    cosine_similarity,
-    delta,
-    exact_inverse,
-    project,
-    pseudo_inverse,
-    sample_standard,
-    sample_unitary,
-    unbind,
-)
-from .labels import (
-    LabelSpace,
-    decode_threshold,
-    decode_topk,
-    encode_labels,
-    loss,
-    loss_gradient,
-    make_label_space,
-)
-from .vsa import VsaKind, vsa_bind, vsa_sample, vsa_unbind
-
-__all__ = [
-    "LabelSpace",
-    "VsaKind",
-    "__version__",
-    "bind",
-    "cosine_similarity",
-    "decode_threshold",
-    "decode_topk",
-    "delta",
-    "encode_labels",
-    "exact_inverse",
-    "loss",
-    "loss_gradient",
-    "make_label_space",
-    "project",
-    "pseudo_inverse",
-    "sample_standard",
-    "sample_unitary",
-    "unbind",
-    "vsa_bind",
-    "vsa_sample",
-    "vsa_unbind",
-]

@@ -61,14 +61,16 @@ class RetrievalErrorEstimate:
     kind: VsaKind
     d: int
     n: int
-    trials: int
-    p_error: float
-    per_trial_errors: tuple
+    per_trial_errors: tuple  # error count of each trial, out of n items
     seconds: float = dataclasses.field(default=0.0, compare=False)  # wall time, telemetry only
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_error <= 1.0:
-            raise ValueError(f"p_error out of range: {self.p_error}")
+    @property
+    def trials(self):
+        return len(self.per_trial_errors)
+
+    @property
+    def p_error(self):
+        return float(sum(self.per_trial_errors)) / (self.n * self.trials)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -165,15 +167,7 @@ def retrieval_error_probability(kind, d, n, trials=DEFAULT_TRIALS, seed=0):
         raise ValueError(f"trial count must be >= 1, got {trials}")
     bases = [mix64(seed, trial) for trial in range(trials)]
     errors = list(run_ahead(functools.partial(_trial_errors, kind, d, n), bases, alternate=True))
-    return RetrievalErrorEstimate(
-        kind=kind,
-        d=d,
-        n=n,
-        trials=trials,
-        p_error=float(sum(errors)) / (n * trials),
-        per_trial_errors=tuple(errors),
-        seconds=time.perf_counter() - started,
-    )
+    return RetrievalErrorEstimate(kind, d, n, tuple(errors), time.perf_counter() - started)
 
 
 def predicted_error(d, n):

@@ -232,7 +232,7 @@ def _read_predictions(path, n_expected, n_labels):
             rankings.append([int(tok) for tok in line.split()])
     if len(rankings) != n_expected:
         raise ValueError(
-            f"predictions file has {len(rankings)} rows, dataset has {n_expected}"
+            f"predictions file {path} has {len(rankings)} rows, dataset has {n_expected}"
         )
     return rankings
 

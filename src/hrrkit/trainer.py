@@ -133,26 +133,25 @@ def init_model(n_features, hidden, out_dim, head, seed):
 
 
 def _forward_sparse(model, batch, dropout=0.0, rng=None):
-    """Forward pass over a batch SparseDataset, returning the layer cache.
+    """Forward pass over a batch SparseDataset: (output, hidden activations).
 
     The first layer gathers only the weight rows of active features, one
-    CSR row at a time; later layers are dense matrix products.
+    CSR row at a time; later layers are dense matrix products. With dropout
+    > 0, rng draws each hidden unit's keep mask.
     """
     w1, b1 = model.weights[0], model.biases[0]
     z = np.tile(b1, (batch.n_examples, 1))
     for row, (lo, hi) in enumerate(zip(batch.indptr[:-1].tolist(), batch.indptr[1:].tolist())):
         if hi > lo:
             z[row] += batch.values[lo:hi] @ w1[batch.indices[lo:hi]]
-    acts, masks = [], []  # per hidden layer: output after ReLU and dropout; mask or None
+    acts = []  # per hidden layer: output after ReLU and dropout
     for w, b in zip(model.weights[1:], model.biases[1:]):
-        a, mask = np.maximum(z, 0.0), None
-        if dropout > 0.0 and rng is not None:
-            mask = (rng.random(a.shape) >= dropout) / (1.0 - dropout)
-            a = a * mask
+        a = np.maximum(z, 0.0)
+        if dropout > 0.0:
+            a = a * ((rng.random(a.shape) >= dropout) / (1.0 - dropout))
         acts.append(a)
-        masks.append(mask)
         z = a @ w + b
-    return z, acts, masks
+    return z, acts
 
 
 # Gradient of the first-layer weights at the sorted unique feature rows a
@@ -160,23 +159,24 @@ def _forward_sparse(model, batch, dropout=0.0, rng=None):
 _RowGrad = collections.namedtuple("_RowGrad", "rows values")
 
 
-def _backward_sparse(model, batch, acts, masks, grad_out):
+def _backward_sparse(model, batch, acts, grad_out, dropout=0.0):
     """Parameter gradients for a batch given the output gradient.
 
     The first layer's weight gradient is a _RowGrad: the touched rows and
-    X_b^T delta for them, where X_b is the batch's value matrix.
+    X_b^T delta for them, where X_b is the batch's value matrix. A unit
+    that dropout zeroed has a cached activation of exactly 0, so scaling
+    (a > 0) by 1 / (1 - dropout) gives the same bits as the forward mask.
     """
     n_layers = len(model.weights)
     grads_w, grads_b = [None] * n_layers, [None] * n_layers
     delta = grad_out
     for layer in range(n_layers - 1, 0, -1):
-        a, mask = acts[layer - 1], masks[layer - 1]
+        a = acts[layer - 1]
         grads_w[layer] = a.T @ delta
         grads_b[layer] = delta.sum(axis=0)
-        da = delta @ model.weights[layer].T
-        if mask is not None:
-            da = da * mask
-        delta = da * (a > 0)
+        delta = (delta @ model.weights[layer].T) * (a > 0)
+        if dropout > 0.0:
+            delta *= 1.0 / (1.0 - dropout)
     grads_b[0] = delta.sum(axis=0)
     rows, cols = np.unique(batch.indices, return_inverse=True)
     x = np.zeros((batch.n_examples, rows.size))  # X_b; unique features in a row: one write a cell
@@ -254,9 +254,8 @@ class _Adam:
     as one pass over the whole parameter, and the same bits.
     """
 
-    def __init__(self, params, lr, beta1, beta2, eps, decay):
-        self.lr, self.b1, self.b2, self.eps = lr, beta1, beta2, eps
-        self.decay = decay
+    def __init__(self, params, lr, decay):
+        self.lr, self.decay = lr, decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.work = np.empty(
@@ -271,11 +270,11 @@ class _Adam:
         _RowGrad counts each touched row once.
         """
         self.t += 1
-        b1, b2 = self.b1, self.b2
+        b1, b2 = _BETA1, _BETA2
         # lr * mhat / (sqrt(vhat) + eps) == step * m / (sqrt(v) + eps_t)
         root_bc2 = np.sqrt(1.0 - b2**self.t)
         step = self.lr * root_bc2 / (1.0 - b1**self.t)
-        eps_t = self.eps * root_bc2
+        eps_t = _ADAM_EPS * root_bc2
         sq = 0.0
         for p, g, m, v, decay in zip(params, grads, self.m, self.v, self.decay):
             for lo, hi, gt, rows in _tiles(p, g):
@@ -348,16 +347,12 @@ def train(model, dataset, config, space=None, val_dataset=None):
         check_dataset(model, val_dataset, space, "validation set")
     params = model.weights + model.biases
     decay = [config.weight_decay] * len(model.weights) + [0.0] * len(model.biases)
-    opt = _Adam(params, config.lr, _BETA1, _BETA2, _ADAM_EPS, decay)
+    opt = _Adam(params, config.lr, decay)
     class_matrix = None
     if model.head == "hrr" and space.n_classes * space.dim <= 4_000_000:
         class_matrix = space.class_vectors(np.arange(space.n_classes))
     shuffle_rng = np.random.Generator(np.random.PCG64(mix64(config.seed, 0xE90C)))
-    drop_rng = (
-        np.random.Generator(np.random.PCG64(mix64(config.seed, 0xD907)))
-        if config.dropout > 0
-        else None
-    )
+    drop_rng = np.random.Generator(np.random.PCG64(mix64(config.seed, 0xD907)))
     stats = []
     for epoch in range(config.epochs):
         started = time.perf_counter()
@@ -367,9 +362,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
         for lo in range(0, dataset.n_examples, config.batch_size):
             batch = dataset.take(order[lo : lo + config.batch_size])
             t0 = time.perf_counter()
-            out, acts, masks = _forward_sparse(
-                model, batch, dropout=config.dropout, rng=drop_rng
-            )
+            out, acts = _forward_sparse(model, batch, config.dropout, drop_rng)
             t1 = time.perf_counter()
             loss_value, grad_out, split = _batch_loss_and_grad(
                 model, batch, out, space, class_matrix=class_matrix
@@ -381,7 +374,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
                 )
             losses.append(loss_value)
             splits.append(split)
-            grads_w, grads_b = _backward_sparse(model, batch, acts, masks, grad_out)
+            grads_w, grads_b = _backward_sparse(model, batch, acts, grad_out, config.dropout)
             t3 = time.perf_counter()
             norms.append(opt.step(params, grads_w + grads_b))
             phases += (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
@@ -502,21 +495,21 @@ def _read_exact(fh, shape, dtype, path, section):
 def load_checkpoint(path):
     """Read a checkpoint written by save_checkpoint; returns (model, header).
 
-    A file cut short raises ValueError naming the path, the section that is
-    incomplete, and the expected and actual byte counts; a file with bytes
-    past the last layer raises ValueError naming the path, the expected
-    size and the actual file size; a header with fewer than three layer
-    sizes (no hidden layer) raises ValueError naming the path and the count.
+    Every ValueError names the path: a bad magic or format version; a file
+    cut short, with the section that is incomplete and the expected and
+    actual byte counts; a file with bytes past the last layer, with the
+    expected size and the actual file size; a header with fewer than three
+    layer sizes (no hidden layer), with the count.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
+            raise ValueError(f"not a model checkpoint {path}: bad magic {magic!r}")
         hlen = int(_read_exact(fh, 1, "<u4", path, "header length")[0])
         header = json.loads(_read_exact(fh, hlen, "u1", path, "header").tobytes())
         if header.get("format_version") != _FORMAT_VERSION:
             raise ValueError(
-                f"unsupported checkpoint version {header.get('format_version')}"
+                f"unsupported checkpoint {path}: format version {header.get('format_version')}"
             )
         sizes = header["layer_sizes"]
         if len(sizes) < 3:

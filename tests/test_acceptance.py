@@ -185,13 +185,13 @@ def test_criterion_07_gradient_suite():
         batch = ds
 
         def batch_loss():
-            out, _, _ = tr._forward_sparse(model, batch)
+            out, _ = tr._forward_sparse(model, batch)
             value, _, _ = tr._batch_loss_and_grad(model, batch, out, sp)
             return value
 
-        out, acts, masks = tr._forward_sparse(model, batch)
+        out, acts = tr._forward_sparse(model, batch)
         _, grad_out, _ = tr._batch_loss_and_grad(model, batch, out, sp)
-        grads_w, grads_b = tr._backward_sparse(model, batch, acts, masks, grad_out)
+        grads_w, grads_b = tr._backward_sparse(model, batch, acts, grad_out)
         rows, values = grads_w[0]  # row-sparse first layer, scattered to dense
         grads_w[0] = np.zeros_like(model.weights[0])
         grads_w[0][rows] = values

@@ -74,6 +74,14 @@ class TestBuildStatement:
         got = build_statement(kind, xs, ys)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("key_shape", [(3, 9), (2, 8), (8,)])
+    def test_values_and_keys_of_different_shapes_raise(self, key_shape):
+        with pytest.raises(ValueError) as info:
+            build_statement(VsaKind.HRR_NAIVE, np.ones((3, 8)), np.ones(key_shape))
+        assert str(info.value) == (
+            f"values and keys must be one (n, d) shape, got (3, 8), {key_shape}"
+        )
+
     def test_empty_pairs_raise(self):
         with pytest.raises(ValueError):
             build_statement(VsaKind.HRR_NAIVE, np.empty((0, 8)), np.empty((0, 8)))

@@ -74,6 +74,20 @@ class TestCapacityCommand:
         assert a.read_bytes() == b.read_bytes()
         assert "capacity,hrr,4096," in a.read_text()
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_result_without_out_goes_to_stdout_with_the_file_bytes(self, tmp_path, capsys, fmt):
+        flags = ["capacity", "--vsa", "map-c", "--dims", "25", "--trials", "2",
+                 "--n-max", "11", "--format", fmt]
+        out = tmp_path / f"a.{fmt}"
+        assert run_cli(flags + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run_cli(flags) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+    def test_empty_kind_list_exits_2(self, capsys):
+        assert run_cli(["capacity", "--vsa", ",", "--dims", "16", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "hrrkit: need at least one --vsa and one --dims value\n"
+
     def test_vtb_non_square_dimension_exits_2(self, capsys):
         assert run_cli(["capacity", "--vsa", "vtb", "--dims", "101", "--trials", "1"]) == 2
         assert "perfect-square" in capsys.readouterr().err
@@ -445,6 +459,21 @@ class TestTrainEvalCommands:
             "eval", "--data", str(data_path), "--checkpoint", str(ckpt), f"--k={k}", "--out", str(out),
         ]) == 2
         assert capsys.readouterr().err == f"hrrkit: --k needs one or more cutoffs, each >= 1, got {k!r}\n"
+        assert not out.exists()
+
+    def test_eval_predictions_row_count_mismatch_names_the_file(self, tmp_path, capsys):
+        data_path = tmp_path / "test.txt"
+        ds = dataio.synth_generate(3, 6, 3, labels_per_point=1, seed=6)
+        data_path.write_text(dataio.serialize_xml_repo(ds), encoding="utf-8")
+        preds, out = tmp_path / "preds.txt", tmp_path / "report.json"
+        preds.write_text("0 1 2\n2 1 0\n", encoding="utf-8")
+        assert run_cli([
+            "eval", "--data", str(data_path), "--predictions", str(preds),
+            "--k", "1", "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"hrrkit: predictions file {preds} has 2 rows, dataset has 3\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["--checkpoint", "--predictions"])

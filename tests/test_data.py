@@ -43,6 +43,12 @@ class TestParse:
         with pytest.raises(dataio.DatasetFormatError, match="line 1"):
             parse_text("2 3\n")
 
+    @pytest.mark.parametrize("header", ["-1 3 2", "1 0 2", "1 3 0"])
+    def test_non_positive_header_sizes(self, header):
+        with pytest.raises(dataio.DatasetFormatError) as info:
+            parse_text(f"{header}\n0 0:1.0\n")
+        assert str(info.value) == f"line 1: non-positive header sizes {header}"
+
     def test_header_sizes_beyond_int64(self):
         text = "1 100000000000000000000000000000 2\n0 99999999999999999999999:1.0\n"
         message = "line 1: header sizes 1 100000000000000000000000000000 2 exceed int64"
@@ -490,6 +496,26 @@ class TestSynth:
             scores = dense.reshape(12, block).sum(axis=1)
             hits += int(np.argmax(scores)) in set(ex.labels.tolist())
         assert hits == 200
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((10, 4, 5, 1), "need at least one feature per label"),
+            ((10, 10, 5, 0), "labels_per_point out of range"),
+            ((10, 10, 5, 6), "labels_per_point out of range"),
+        ],
+    )
+    def test_synth_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ValueError) as info:
+            dataio.synth_generate(*args, seed=0)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_split_rejects_a_fraction_outside_the_open_unit_interval(self, fraction):
+        ds = dataio.synth_generate(10, 20, 5, labels_per_point=1, seed=6)
+        with pytest.raises(ValueError) as info:
+            dataio.split_dataset(ds, test_fraction=fraction)
+        assert str(info.value) == "test_fraction must be in (0, 1)"
 
     def test_split_partitions_examples(self):
         ds = dataio.synth_generate(100, 20, 5, labels_per_point=1, seed=6)

@@ -34,6 +34,15 @@ def encode_direct(space, present):
 
 
 class TestLabelSpace:
+    @pytest.mark.parametrize(
+        "n_classes, dim, message",
+        [(0, 8, "class count must be >= 1, got 0"), (4, 1, "dimension must be >= 2, got 1")],
+    )
+    def test_rejects_too_few_classes_or_dimensions(self, n_classes, dim, message):
+        with pytest.raises(ValueError) as info:
+            lb.make_label_space(n_classes, dim, seed=0)
+        assert str(info.value) == message
+
     def test_roles_are_orthogonal(self):
         sp = lb.make_label_space(20, 128, seed=0)
         assert abs(core.cosine_similarity(sp.p, sp.m)) < 1e-6
@@ -407,6 +416,13 @@ class TestDecode:
         base = lb.decode_topk(sp, s_hat, 30)
         for lam in (0.25, 3.0, 1e4):
             assert lb.decode_topk(sp, lam * s_hat, 30) == base
+
+    @pytest.mark.parametrize("shape", [(33,), (1, 32)])
+    def test_prediction_of_the_wrong_shape_raises(self, shape):
+        sp = lb.make_label_space(5, 32, seed=20)
+        with pytest.raises(ValueError) as info:
+            lb.decode_topk(sp, np.ones(shape), 1)
+        assert str(info.value) == "prediction must have shape (32,)"
 
     def test_k_bounds(self):
         sp = lb.make_label_space(5, 32, seed=20)
