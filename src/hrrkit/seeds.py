@@ -155,11 +155,7 @@ def run_ahead(make, items, alternate=False):
     is dropped. Closing the iterator early waits for the item in flight and
     stops the worker.
     """
-    # A process started by multiprocessing has it loaded; looking it up
-    # rather than importing it keeps the import out of every other process.
-    mp = sys.modules.get("multiprocessing")
-    in_child = mp is not None and mp.parent_process() is not None
-    if len(items) < 2 or in_child or _usable_cpus() < 2:
+    if len(items) < 2 or not _worker_allowed():
         yield from map(make, items)
         return
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
@@ -173,6 +169,16 @@ def run_ahead(make, items, alternate=False):
                 done = ahead.result()
                 ahead = None if alternate else submit(i + 1)
             yield done
+
+
+def _worker_allowed():
+    """Whether a worker thread may start: two or more usable CPUs, and not
+    a process started by multiprocessing (a pool's worker, whose siblings
+    hold the other CPUs)."""
+    # A process started by multiprocessing has it loaded; looking it up
+    # rather than importing it keeps the import out of every other process.
+    mp = sys.modules.get("multiprocessing")
+    return (mp is None or mp.parent_process() is None) and _usable_cpus() >= 2
 
 
 def _usable_cpus():

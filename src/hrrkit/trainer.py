@@ -7,26 +7,30 @@ query loss from hrrkit.labels, which chains into the linear layers through
 its analytic gradient. The first layer consumes sparse features directly,
 touching only the nonzero rows of the weight matrix.
 
-Training is plain mini-batch Adam with seeded shuffling, bit-reproducible
-for a fixed seed in single-threaded use.
+Training is plain mini-batch Adam with seeded shuffling. A step may share
+its work with one worker thread (see train); every element gets the same
+operations in the same order on either thread, so a fixed seed gives the
+same bytes with or without the worker at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import contextlib
 import dataclasses
 import json
 import math
 import os
 import struct
+import threading
 import time
 
 import numpy as np
 
 from . import labels as labelcodec
 from . import metrics
-from .seeds import mix64
+from .seeds import _worker_allowed, mix64
 
 __all__ = [
     "EpochStats",
@@ -95,8 +99,14 @@ class EpochStats:
     mean_loss into its present-role and absent-role terms (None for fc).
     grad_norm is the mean over the batches of the global L2 norm of the
     loss gradient in every parameter, before weight decay. The optimizer
-    step takes it tile by tile as it reads the gradient, so its time falls
-    in optimizer_s, not backward_s.
+    step takes it tile by tile as it reads the gradient.
+
+    backward_s is the calling thread's time from the output gradient until
+    the first layer's weight gradient exists; optimizer_s runs from then
+    until the step's last update has finished. Work that the step's worker
+    thread does meanwhile (weight gradients, and the updates of the layers
+    backward has passed) is not counted separately; without a worker those
+    updates run on the calling thread inside backward_s.
     """
 
     epoch: int
@@ -159,29 +169,76 @@ def _forward_sparse(model, batch, dropout=0.0, rng=None):
 _RowGrad = collections.namedtuple("_RowGrad", "rows values")
 
 
-def _backward_sparse(model, batch, acts, grad_out, dropout=0.0):
+class _Inline:
+    """An executor that runs each call on the caller's thread as it is submitted."""
+
+    @staticmethod
+    def submit(fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+_INLINE = _Inline()
+
+
+def _step_executor():
+    """One worker thread for the training step where seeds allows one and
+    BLAS runs on one thread, else _INLINE. The BLAS count is the first of
+    OPENBLAS_NUM_THREADS and OMP_NUM_THREADS (OpenBLAS's order) set to a
+    positive count; more BLAS threads would compete with a worker."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    counts = [int(c) for c in (os.environ.get(name, "").strip() for name in names) if c.isdigit()]
+    if next((c for c in counts if c > 0), None) == 1 and _worker_allowed():
+        return concurrent.futures.ThreadPoolExecutor(max_workers=1)
+    return contextlib.nullcontext(_INLINE)
+
+
+def _touched(batch):
+    """The sorted unique feature rows a batch touches, and X_b over them."""
+    rows, cols = np.unique(batch.indices, return_inverse=True)
+    x = np.zeros((batch.n_examples, rows.size))  # unique features in a row: one write a cell
+    x[np.repeat(np.arange(batch.n_examples), np.diff(batch.indptr)), cols] = batch.values
+    return rows, x
+
+
+def _backward_sparse(model, batch, acts, grad_out, dropout=0.0, pool=_INLINE, touched=None,
+                     update=None):
     """Parameter gradients for a batch given the output gradient.
 
     The first layer's weight gradient is a _RowGrad: the touched rows and
     X_b^T delta for them, where X_b is the batch's value matrix. A unit
     that dropout zeroed has a cached activation of exactly 0, so scaling
     (a > 0) by 1 / (1 - dropout) gives the same bits as the forward mask.
+
+    pool forms the later layers' weight gradients while this thread carries
+    delta down, and _touched(batch) unless touched is its future. Once the
+    pass has read a layer's weights for the last time, update(i, gradient
+    or its future) is called for them (i = layer) and its bias (n_layers +
+    layer).
     """
     n_layers = len(model.weights)
     grads_w, grads_b = [None] * n_layers, [None] * n_layers
+    if touched is None:
+        touched = pool.submit(_touched, batch)
     delta = grad_out
     for layer in range(n_layers - 1, 0, -1):
         a = acts[layer - 1]
-        grads_w[layer] = a.T @ delta
+        # The product goes into an array from this thread's heap: a worker's
+        # own malloc arena would keep the freed gradients, raising peak RSS.
+        grad_w = np.empty((a.shape[1], delta.shape[1]))
+        grads_w[layer] = pool.submit(np.matmul, a.T, delta, grad_w)
         grads_b[layer] = delta.sum(axis=0)
         delta = (delta @ model.weights[layer].T) * (a > 0)
         if dropout > 0.0:
             delta *= 1.0 / (1.0 - dropout)
-    grads_b[0] = delta.sum(axis=0)
-    rows, cols = np.unique(batch.indices, return_inverse=True)
-    x = np.zeros((batch.n_examples, rows.size))  # X_b; unique features in a row: one write a cell
-    x[np.repeat(np.arange(batch.n_examples), np.diff(batch.indptr)), cols] = batch.values
+        if update:
+            update(layer, grads_w[layer])
+            update(n_layers + layer, grads_b[layer])
+    rows, x = touched.result()
     grads_w[0] = _RowGrad(rows, x.T @ delta)
+    grads_b[0] = delta.sum(axis=0)
+    grads_w[1:] = [g.result() for g in grads_w[1:]]
     return grads_w, grads_b
 
 
@@ -245,72 +302,120 @@ class _Adam:
     """Adam, fused in place and walked in cache-sized row tiles.
 
     The bias corrections fold into a step size and an epsilon, and every
-    temporary goes through one preallocated work buffer of at most one
-    tile. Every row's moments decay on every step; a _RowGrad adds its
-    rows' gradient on top, which is dense Adam with a zero gradient on the
-    other rows. decay holds each parameter's L2 coefficient; that term is
-    dense and reaches every row. Each tile runs the whole update before
-    the next, so every element gets the same operations in the same order
-    as one pass over the whole parameter, and the same bits.
+    temporary goes through a preallocated work buffer of at most one tile,
+    one per thread: work for the caller's, spare for the worker's. Every
+    row's moments decay on every step; a _RowGrad adds its rows' gradient
+    on top, which is dense Adam with a zero gradient on the other rows.
+    decay holds each parameter's L2 coefficient; that term is dense and
+    reaches every row. Each tile runs the whole update before the next, so
+    every element gets the same operations in the same order as one pass
+    over the whole parameter, and the same bits, on whichever thread.
+
+    A step is begin(), then update() for each parameter once nothing reads
+    it any more, then finish(); step() does all three.
     """
 
     def __init__(self, params, lr, decay):
         self.lr, self.decay = lr, decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
-        self.work = np.empty(
-            max(min(p.size, max(_TILE, math.prod(p.shape[1:]))) for p in params)
-        )
+        size = max(min(p.size, max(_TILE, math.prod(p.shape[1:]))) for p in params)
+        self.work, self.spare = np.empty(size), np.empty(size)
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, params, grads, pool=_INLINE):
         """Update params in place; returns the global L2 norm of grads.
 
         The norm is of the loss gradient alone, before weight decay; a
         _RowGrad counts each touched row once.
         """
+        self.begin(params, pool)
+        for i, g in enumerate(grads):
+            self.update(i, g)
+        return self.finish()
+
+    def begin(self, params, pool):
+        """Start a step on params; pool's worker is its second thread."""
+        self.params, self.pool, self.pending, self.sq = params, pool, [], {}
         self.t += 1
-        b1, b2 = _BETA1, _BETA2
         # lr * mhat / (sqrt(vhat) + eps) == step * m / (sqrt(v) + eps_t)
-        root_bc2 = np.sqrt(1.0 - b2**self.t)
-        step = self.lr * root_bc2 / (1.0 - b1**self.t)
-        eps_t = _ADAM_EPS * root_bc2
+        root_bc2 = np.sqrt(1.0 - _BETA2**self.t)
+        self.rate = self.lr * root_bc2 / (1.0 - _BETA1**self.t), _ADAM_EPS * root_bc2
+
+    def update(self, i, grad):
+        """Queue parameter i's update, from grad or a future of it, on the worker."""
+        claim = self._claims(i, grad)
+        self.pending.append((i, claim, self.pool.submit(self._update, i, claim, self.spare)))
+
+    def finish(self):
+        """Run the tiles the worker has not claimed, wait for it and return
+        the gradient norm; the first failed update raises. The tiles' squared
+        norms add in parameter order, then tile order, as in one serial pass."""
+        pending, self.pending = self.pending, []  # the step's gradients go with it
+        for i, claim, _ in pending:
+            self._update(i, claim, self.work)
+        concurrent.futures.wait([done for _, _, done in pending])
+        for _, _, done in pending:
+            done.result()
         sq = 0.0
-        for p, g, m, v, decay in zip(params, grads, self.m, self.v, self.decay):
-            for lo, hi, gt, rows in _tiles(p, g):
-                pt, mt, vt = p[lo:hi], m[lo:hi], v[lo:hi]
-                buf = self.work[: pt.size].reshape(pt.shape)
-                sq += np.vdot(gt, gt)
-                if rows is not None and not decay:
-                    gbuf = buf[: len(gt)]  # free until the step is formed in buf
-                    mt *= b1
-                    np.multiply(gt, 1.0 - b1, out=gbuf)
-                    m[rows] += gbuf
-                    vt *= b2
-                    np.square(gt, out=gbuf)
-                    gbuf *= 1.0 - b2
-                    v[rows] += gbuf
-                else:
-                    if decay:  # the dense gradient g + decay * p, formed in buf
-                        np.multiply(pt, decay, out=buf)
-                        if rows is not None:
-                            buf[rows - lo] += gt
-                        else:
-                            buf += gt
-                        gt = buf
-                    mt -= gt  # m = b1 * m + (1 - b1) * g without a temporary
-                    mt *= b1
-                    mt += gt
-                    np.square(gt, out=buf)
-                    buf *= 1.0 - b2
-                    vt *= b2
-                    vt += buf
-                np.sqrt(vt, out=buf)
-                buf += eps_t
-                np.divide(mt, buf, out=buf)
-                buf *= step
-                pt -= buf
+        for key in sorted(self.sq):
+            sq += self.sq[key]
         return float(np.sqrt(sq))
+
+    def _claims(self, i, grad):
+        """A function that hands out parameter i's row tiles, each (index,
+        tile) pair to one caller on any thread, then None."""
+        # No reference to self: self.pending holds claim, and a cycle would
+        # keep the moments alive after training until a full collection.
+        p, lock, tiles = self.params[i], threading.Lock(), []
+
+        def claim():
+            with lock:
+                if not tiles:  # the first claim waits for a future gradient
+                    g = grad.result() if isinstance(grad, concurrent.futures.Future) else grad
+                    tiles.append(enumerate(_tiles(p, g)))
+                return next(tiles[0], None)
+
+        return claim
+
+    def _update(self, i, claim, work):
+        """Run the tiles of parameter i that claim hands out, through work."""
+        p, m, v, decay = self.params[i], self.m[i], self.v[i], self.decay[i]
+        b1, b2 = _BETA1, _BETA2
+        step, eps_t = self.rate
+        for k, (lo, hi, gt, rows) in iter(claim, None):
+            pt, mt, vt = p[lo:hi], m[lo:hi], v[lo:hi]
+            buf = work[: pt.size].reshape(pt.shape)
+            self.sq[i, k] = np.vdot(gt, gt)
+            if rows is not None and not decay:
+                gbuf = buf[: len(gt)]  # free until the step is formed in buf
+                mt *= b1
+                np.multiply(gt, 1.0 - b1, out=gbuf)
+                m[rows] += gbuf
+                vt *= b2
+                np.square(gt, out=gbuf)
+                gbuf *= 1.0 - b2
+                v[rows] += gbuf
+            else:
+                if decay:  # the dense gradient g + decay * p, formed in buf
+                    np.multiply(pt, decay, out=buf)
+                    if rows is not None:
+                        buf[rows - lo] += gt
+                    else:
+                        buf += gt
+                    gt = buf
+                mt -= gt  # m = b1 * m + (1 - b1) * g without a temporary
+                mt *= b1
+                mt += gt
+                np.square(gt, out=buf)
+                buf *= 1.0 - b2
+                vt *= b2
+                vt += buf
+            np.sqrt(vt, out=buf)
+            buf += eps_t
+            np.divide(mt, buf, out=buf)
+            buf *= step
+            pt -= buf
 
 
 def check_dataset(model, dataset, space=None, name="dataset"):
@@ -341,6 +446,12 @@ def train(model, dataset, config, space=None, val_dataset=None):
     The dataset and any validation set must pass check_dataset with the
     model and label space. Raises TrainingDivergedError as soon as a batch
     loss is not finite.
+
+    Where _step_executor starts a worker, each step shares its work with it:
+    X_b during the forward pass, the weight gradients and each layer's
+    update behind backward, then the first layer's tiles. A step waits for
+    it all before it returns or raises, so a forward pass reads no weight
+    that is being updated.
     """
     check_dataset(model, dataset, space)
     if val_dataset is not None:
@@ -348,6 +459,7 @@ def train(model, dataset, config, space=None, val_dataset=None):
     params = model.weights + model.biases
     decay = [config.weight_decay] * len(model.weights) + [0.0] * len(model.biases)
     opt = _Adam(params, config.lr, decay)
+    n_layers = len(model.weights)
     class_matrix = None
     if model.head == "hrr" and space.n_classes * space.dim <= 4_000_000:
         class_matrix = space.class_vectors(np.arange(space.n_classes))
@@ -359,25 +471,33 @@ def train(model, dataset, config, space=None, val_dataset=None):
         order = shuffle_rng.permutation(dataset.n_examples)
         phases = np.zeros(4)  # forward, loss, backward, optimizer seconds
         losses, splits, norms = [], [], []
-        for lo in range(0, dataset.n_examples, config.batch_size):
-            batch = dataset.take(order[lo : lo + config.batch_size])
-            t0 = time.perf_counter()
-            out, acts = _forward_sparse(model, batch, config.dropout, drop_rng)
-            t1 = time.perf_counter()
-            loss_value, grad_out, split = _batch_loss_and_grad(
-                model, batch, out, space, class_matrix=class_matrix
-            )
-            t2 = time.perf_counter()
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(
-                    f"non-finite loss at epoch {epoch}, batch {lo // config.batch_size}"
+        with _step_executor() as pool:
+            for lo in range(0, dataset.n_examples, config.batch_size):
+                batch = dataset.take(order[lo : lo + config.batch_size])
+                touched = pool.submit(_touched, batch)
+                t0 = time.perf_counter()
+                out, acts = _forward_sparse(model, batch, config.dropout, drop_rng)
+                t1 = time.perf_counter()
+                loss_value, grad_out, split = _batch_loss_and_grad(
+                    model, batch, out, space, class_matrix=class_matrix
                 )
-            losses.append(loss_value)
-            splits.append(split)
-            grads_w, grads_b = _backward_sparse(model, batch, acts, grad_out, config.dropout)
-            t3 = time.perf_counter()
-            norms.append(opt.step(params, grads_w + grads_b))
-            phases += (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
+                t2 = time.perf_counter()
+                if not np.isfinite(loss_value):
+                    raise TrainingDivergedError(
+                        f"non-finite loss at epoch {epoch}, batch {lo // config.batch_size}"
+                    )
+                losses.append(loss_value)
+                splits.append(split)
+                opt.begin(params, pool)
+                grads_w, grads_b = _backward_sparse(
+                    model, batch, acts, grad_out, config.dropout, pool, touched, opt.update
+                )
+                t3 = time.perf_counter()
+                opt.update(0, grads_w[0])
+                opt.update(n_layers, grads_b[0])
+                del grads_w, grads_b  # freed with this step, not beside the next one's
+                norms.append(opt.finish())
+                phases += (t1 - t0, t2 - t1, t3 - t2, time.perf_counter() - t3)
         trained = time.perf_counter()
         val_p1 = None
         if val_dataset is not None:

@@ -1,7 +1,13 @@
 """Tests for the feedforward trainer, its heads, and checkpointing."""
 
+import concurrent.futures
+import dataclasses
+import gc
 import json
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +16,8 @@ import reference_backward as ref
 from hrrkit import core
 from hrrkit import data as dataio
 from hrrkit import labels as lb
+from hrrkit import metrics
+from hrrkit import seeds
 from hrrkit import trainer as tr
 from hrrkit.seeds import mix64
 
@@ -444,26 +452,33 @@ class TestFusedAdam:
         params = [rng.standard_normal((20_000, 512)), np.zeros(512)]
         opt = tr._Adam(params, 1e-3, decay=[0.0, 0.0])
         assert opt.work.nbytes <= 8 * max(tr._TILE, 512)
+        assert opt.spare.nbytes == opt.work.nbytes
         rows = np.sort(rng.choice(20_000, size=1_200, replace=False))
         grads = [tr._RowGrad(rows, rng.standard_normal((1_200, 512))), np.ones(512)]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            opt.step(params, grads)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 1_000_000
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            pool.submit(int).result()  # the worker thread exists before tracing starts
+            for executor in (tr._INLINE, pool):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    opt.step(params, grads, executor)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert peak < 1_000_000
 
     def test_work_buffer_is_preallocated_once(self):
         params = [np.ones((5, 3)), np.ones(3)]
         opt = tr._Adam(params, 1e-3, decay=[0.1, 0.0])
-        work = opt.work
-        assert work.size == 15
-        for _ in range(3):
-            opt.step(params, [tr._RowGrad(np.array([1, 4]), np.ones((2, 3))), np.ones(3)])
-        assert opt.work is work
+        work, spare = opt.work, opt.spare
+        assert work.size == spare.size == 15
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            for executor in (tr._INLINE, pool):
+                for _ in range(3):
+                    grads = [tr._RowGrad(np.array([1, 4]), np.ones((2, 3))), np.ones(3)]
+                    opt.step(params, grads, executor)
+        assert opt.work is work and opt.spare is spare
 
 
 class TestTraining:
@@ -646,6 +661,217 @@ class TestTraining:
             norms.append(np.linalg.norm(flat))
         assert len(norms) == 3 and min(norms) > 0.0
         assert stats[0].grad_norm == pytest.approx(np.mean(norms), rel=1e-12)
+
+
+TIMINGS = {
+    "seconds", "forward_s", "loss_s", "backward_s", "optimizer_s", "eval_s", "examples_per_s"
+}
+
+
+def blas_env(monkeypatch, openblas, omp):
+    """Set (a count) or unset (None) the two BLAS thread-count variables."""
+    for name, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value)
+
+
+def record_touched_threads(monkeypatch):
+    """Wrap trainer._touched, which the step submits first; returns the
+    threads it ran on."""
+    ran_on, touched = set(), tr._touched
+
+    def recorded(batch):
+        ran_on.add(threading.current_thread())
+        return touched(batch)
+
+    monkeypatch.setattr(tr, "_touched", recorded)
+    return ran_on
+
+
+class TestTwoCoreStep:
+    @pytest.mark.parametrize("dropout,weight_decay", [(0.0, 0.0), (0.2, 1e-4)])
+    @pytest.mark.parametrize("head,out_dim", [("fc", 20), ("hrr", 64)])
+    def test_worker_and_inline_steps_give_the_same_bytes(
+        self, tmp_path, monkeypatch, head, out_dim, dropout, weight_decay
+    ):
+        # 64-element tiles, so that W1 (100 x 32) has 50 tiles to share
+        monkeypatch.setattr(tr, "_TILE", 64)
+        ds, val = planted(300, seed=50), planted(60, seed=51)
+        space = lb.make_label_space(20, out_dim, seed=52) if head == "hrr" else None
+        config = tr.TrainConfig(
+            epochs=2, batch_size=32, dropout=dropout, weight_decay=weight_decay, seed=53
+        )
+        runs = []
+        # (usable CPUs, OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, worker expected)
+        modes = [(2, "1", None, True), (2, None, "1", True), (1, "1", None, False),
+                 (2, None, None, False), (2, "2", "1", False)]
+        for cpus, openblas, omp, worker in modes:
+            monkeypatch.setattr(seeds, "_usable_cpus", lambda: cpus)
+            blas_env(monkeypatch, openblas, omp)
+            ran_on = record_touched_threads(monkeypatch)
+            model = tr.init_model(100, (32, 16), out_dim, head, seed=54)
+            model, stats = tr.train(model, ds, config, space=space, val_dataset=val)
+            assert (threading.main_thread() not in ran_on) == worker
+            path = tmp_path / f"{len(runs)}.ckpt"
+            tr.save_checkpoint(model, path)
+            report = metrics.metric_report(tr.predict_rankings(model, val, space, k=3), val)
+            untimed = [
+                {k: v for k, v in dataclasses.asdict(s).items() if k not in TIMINGS} for s in stats
+            ]
+            runs.append((path.read_bytes(), json.dumps(untimed), json.dumps(report)))
+        assert all(run == runs[0] for run in runs[1:])
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("case", ["random", "dense"])
+    def test_tiles_on_two_threads_are_bitwise_the_untiled_step(
+        self, monkeypatch, case, weight_decay
+    ):
+        monkeypatch.setattr(tr, "_TILE", 64)
+        rng = np.random.default_rng(55)
+        shapes = [(430, 6), (5, 100), (150,), (3,)]
+        params = [rng.standard_normal(shape) for shape in shapes]
+        ref_params, inline_params = [p.copy() for p in params], [p.copy() for p in params]
+        decay = [weight_decay, weight_decay, 0.0, weight_decay]
+        hyper = dict(lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8, decay=decay)
+        opt, ref = tr._Adam(params, hyper["lr"], decay), UntiledAdam(ref_params, **hyper)
+        inline = tr._Adam(inline_params, hyper["lr"], decay)
+        owners = {}  # W1's tile index -> the thread that updated it, this step
+        claims = opt._claims
+
+        def both_threads(i, g):
+            # After its first claim each thread waits at a barrier for the
+            # other's, so both threads update some of a parameter's tiles.
+            claim, barrier, seen = claims(i, g), threading.Barrier(2, timeout=10), threading.local()
+
+            def next_tile():
+                got = claim()
+                if got is not None and i == 0:
+                    owners[got[0]] = threading.current_thread()
+                if not getattr(seen, "first", False):
+                    seen.first = True
+                    barrier.wait()
+                return got
+
+            return next_tile
+
+        opt._claims = both_threads
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            for _ in range(4):
+                grads = [rng.standard_normal(shape) for shape in shapes]
+                if case != "dense":
+                    rows = w1_rows(case, shapes[0][0], 64 // shapes[0][1], rng)
+                    grads[0] = tr._RowGrad(rows, rng.standard_normal((rows.size, shapes[0][1])))
+                owners.clear()
+                norm = opt.step(params, grads, pool)
+                assert len(owners) == 43 and len(set(owners.values())) == 2
+                ref.step(ref_params, grads)
+                assert norm == inline.step(inline_params, grads)
+                for got, want in zip(params + opt.m + opt.v, ref_params + ref.m + ref.v):
+                    assert np.array_equal(got, want)
+
+    def test_claims_hand_out_each_tile_once_under_contention(self, monkeypatch):
+        monkeypatch.setattr(tr, "_TILE", 64)
+        params = [np.zeros((4000, 2))]  # 32 rows a tile: 125 tiles
+        opt = tr._Adam(params, 1e-3, [0.0])
+        opt.begin(params, tr._INLINE)
+        claim = opt._claims(0, np.zeros((4000, 2)))
+        taken = [[] for _ in range(4)]  # four threads, more than a 2-CPU runner has cores
+
+        def take(out):
+            out.extend(k for k, _ in iter(claim, None))
+
+        threads = [threading.Thread(target=take, args=(out,)) for out in taken]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(k for out in taken for k in out) == list(range(125))
+
+    @pytest.mark.parametrize("worker", [False, True])
+    def test_a_finished_step_keeps_no_gradient_and_no_cycle(self, worker):
+        # A cycle through the step's pending updates kept each training
+        # run's Adam moments alive until a full collection, and gradients
+        # kept past their step sat beside the next step's in peak memory.
+        params = [np.ones((5, 3)), np.ones(3)]
+        opt = tr._Adam(params, 1e-3, [0.0, 0.0])
+        grads = [tr._RowGrad(np.array([1, 4]), np.ones((2, 3))), np.ones(3)]
+        held = [weakref.ref(grads[0].values), weakref.ref(grads[1])]
+        gc.disable()
+        try:
+            with concurrent.futures.ThreadPoolExecutor(1) as pool:
+                opt.step(params, grads, pool if worker else tr._INLINE)
+            del grads
+            assert [ref() for ref in held] == [None, None]
+            freed = weakref.ref(opt)
+            del opt
+            assert freed() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("site", ["touched", "update"])
+    def test_a_worker_error_surfaces_at_its_batch(self, monkeypatch, site):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        blas_env(monkeypatch, "1", None)
+        forwards, failed_on = [], []
+        forward, touched, update = tr._forward_sparse, tr._touched, tr._Adam._update
+
+        def counted(*args):
+            forwards.append(len(forwards))
+            return forward(*args)
+
+        def failing_touched(batch):
+            if len(forwards) == 3:  # batch 2's, submitted before its forward pass
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("worker failed")
+            return touched(batch)
+
+        def failing_update(opt, i, claim, work):
+            # batch 2's W2 update, queued on the worker behind backward
+            if opt.t == 3 and i == 1 and threading.current_thread() is not threading.main_thread():
+                failed_on.append(threading.current_thread())
+                raise RuntimeError("worker failed")
+            return update(opt, i, claim, work)
+
+        monkeypatch.setattr(tr, "_forward_sparse", counted)
+        if site == "touched":
+            monkeypatch.setattr(tr, "_touched", failing_touched)
+        else:
+            monkeypatch.setattr(tr._Adam, "_update", failing_update)
+        model = tr.init_model(100, (16, 8), 20, "fc", seed=56)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            tr.train(model, planted(256, seed=57), tr.TrainConfig(epochs=1, batch_size=32, seed=56))
+        assert threading.active_count() == before
+        assert failed_on and threading.main_thread() not in failed_on
+        assert len(forwards) == 3  # no batch after the one that made the error
+
+    @pytest.mark.parametrize(
+        "openblas,omp", [("2", None), (None, "2"), ("2", "1"), (None, None), ("0", "2")]
+    )
+    def test_no_worker_with_blas_on_more_than_one_thread(self, monkeypatch, openblas, omp):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        blas_env(monkeypatch, openblas, omp)
+        ran_on = record_touched_threads(monkeypatch)
+        before = threading.active_count()
+        counts, forward = [], tr._forward_sparse
+
+        def counted(*args):
+            counts.append(threading.active_count())
+            return forward(*args)
+
+        monkeypatch.setattr(tr, "_forward_sparse", counted)
+        model = tr.init_model(100, (16,), 20, "fc", seed=58)
+        tr.train(model, planted(96, seed=59), tr.TrainConfig(epochs=1, batch_size=32, seed=58))
+        assert ran_on == {threading.main_thread()}
+        assert counts == [before] * 3
 
 
 def dense_rankings(model, dataset, space=None, k=5):
