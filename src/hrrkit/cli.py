@@ -74,8 +74,14 @@ def _write_stats(path, manifest, rows):
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def _int_list(text):
-    return [int(tok) for tok in str(text).split(",") if tok]
+def _int_list(text, flag):
+    values = []
+    for tok in filter(None, str(text).split(",")):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ValueError(f"{flag} takes comma-separated integers, got {tok!r}") from None
+    return values
 
 
 def _check_min(args, **minimums):
@@ -104,7 +110,7 @@ def _cell_stats(est):
 def cmd_capacity(args):
     _check_min(args, n_max=MIN_PAIRS, trials=1, jobs=1)
     kinds = _vsa_list(args.vsa)
-    dims = [d for spec in args.dims for d in _int_list(spec)]
+    dims = [d for spec in args.dims for d in _int_list(spec, "--dims")]
     if not kinds or not dims:
         raise ValueError("need at least one --vsa and one --dims value")
     order = list(VsaKind)
@@ -173,7 +179,7 @@ def cmd_response(args):
 
 
 def cmd_train(args):
-    hidden = _int_list(args.hidden)
+    hidden = _int_list(args.hidden, "--hidden")
     if not hidden:
         raise ValueError(f"--hidden needs at least one layer width, got {args.hidden!r}")
     if min(hidden) < 1:
@@ -238,7 +244,7 @@ def _read_predictions(path, n_expected, n_labels):
 
 
 def cmd_eval(args):
-    ks = _int_list(args.k)
+    ks = _int_list(args.k, "--k")
     if not ks or min(ks) < 1:
         raise ValueError(f"--k needs one or more cutoffs, each >= 1, got {args.k!r}")
     if (args.checkpoint is None) == (args.predictions is None):
@@ -264,6 +270,17 @@ def cmd_eval(args):
         model, header = trainermod.load_checkpoint(args.checkpoint)
         space, comp = None, 0.0
         if model.head == "hrr":
+            for key in ("n_labels", "d_prime", "label_seed"):
+                if type(header.get(key)) is not int:
+                    raise ValueError(
+                        f"checkpoint {args.checkpoint}: {key} must be an integer, "
+                        f"got {header.get(key)!r}"
+                    )
+            if header["d_prime"] != model.out_dim:
+                raise ValueError(
+                    f"checkpoint {args.checkpoint}: d_prime {header['d_prime']} != "
+                    f"layer_sizes[-1] {model.out_dim}"
+                )
             space = labelcodec.make_label_space(
                 header["n_labels"], header["d_prime"], header["label_seed"]
             )

@@ -19,11 +19,11 @@ import collections
 import concurrent.futures
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import os
 import struct
-import threading
 import time
 
 import numpy as np
@@ -104,9 +104,9 @@ class EpochStats:
     backward_s is the calling thread's time from the output gradient until
     the first layer's weight gradient exists; optimizer_s runs from then
     until the step's last update has finished. Work that the step's worker
-    thread does meanwhile (weight gradients, and the updates of the layers
-    backward has passed) is not counted separately; without a worker those
-    updates run on the calling thread inside backward_s.
+    thread does meanwhile (X_b, weight gradients, and the updates of the
+    layers backward has passed) is not counted separately; without a worker
+    it runs on the calling thread inside backward_s.
     """
 
     epoch: int
@@ -202,8 +202,7 @@ def _touched(batch):
     return rows, x
 
 
-def _backward_sparse(model, batch, acts, grad_out, dropout=0.0, pool=_INLINE, touched=None,
-                     update=None):
+def _backward_sparse(model, batch, acts, grad_out, dropout=0.0, pool=_INLINE, update=None):
     """Parameter gradients for a batch given the output gradient.
 
     The first layer's weight gradient is a _RowGrad: the touched rows and
@@ -211,16 +210,14 @@ def _backward_sparse(model, batch, acts, grad_out, dropout=0.0, pool=_INLINE, to
     that dropout zeroed has a cached activation of exactly 0, so scaling
     (a > 0) by 1 / (1 - dropout) gives the same bits as the forward mask.
 
-    pool forms the later layers' weight gradients while this thread carries
-    delta down, and _touched(batch) unless touched is its future. Once the
-    pass has read a layer's weights for the last time, update(i, gradient
-    or its future) is called for them (i = layer) and its bias (n_layers +
-    layer).
+    pool builds X_b (_touched) and forms the later layers' weight gradients
+    while this thread carries delta down. Once the pass has read a layer's
+    weights for the last time, update(i, gradient or its future) is called
+    for them (i = layer) and its bias (n_layers + layer).
     """
     n_layers = len(model.weights)
     grads_w, grads_b = [None] * n_layers, [None] * n_layers
-    if touched is None:
-        touched = pool.submit(_touched, batch)
+    touched = pool.submit(_touched, batch)
     delta = grad_out
     for layer in range(n_layers - 1, 0, -1):
         a = acts[layer - 1]
@@ -280,22 +277,9 @@ def _batch_loss_and_grad(model, batch, out, space, class_matrix=None):
 _TILE = 1 << 15
 
 
-def _tiles(p, g):
-    """Row tiles of p as (lo, hi, gradient tile, its rows or None).
-
-    A tile holds about _TILE elements, and at least one row. A _RowGrad's
-    rows are sorted and unique, so each tile's part of it is a slice.
-    """
-    width = math.prod(p.shape[1:])
-    span = max(1, _TILE // max(width, 1))
-    starts = range(0, len(p), span)
-    if isinstance(g, _RowGrad):
-        cuts = np.searchsorted(g.rows, [*starts, len(p)]).tolist()
-        for lo, a, b in zip(starts, cuts, cuts[1:]):
-            yield lo, lo + span, g.values[a:b], g.rows[a:b]
-    else:
-        for lo in starts:
-            yield lo, lo + span, g[lo : lo + span], None
+def _span(p):
+    """Rows per tile of p: about _TILE elements, and at least one row."""
+    return max(1, _TILE // max(math.prod(p.shape[1:]), 1))
 
 
 class _Adam:
@@ -316,74 +300,79 @@ class _Adam:
     """
 
     def __init__(self, params, lr, decay):
-        self.lr, self.decay = lr, decay
+        self.params, self.lr, self.decay = params, lr, decay
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         size = max(min(p.size, max(_TILE, math.prod(p.shape[1:]))) for p in params)
         self.work, self.spare = np.empty(size), np.empty(size)
         self.t = 0
 
-    def step(self, params, grads, pool=_INLINE):
-        """Update params in place; returns the global L2 norm of grads.
+    def step(self, grads, pool=_INLINE):
+        """Update the parameters in place; returns the global L2 norm of grads.
 
         The norm is of the loss gradient alone, before weight decay; a
         _RowGrad counts each touched row once.
         """
-        self.begin(params, pool)
+        self.begin(pool)
         for i, g in enumerate(grads):
             self.update(i, g)
         return self.finish()
 
-    def begin(self, params, pool):
-        """Start a step on params; pool's worker is its second thread."""
-        self.params, self.pool, self.pending, self.sq = params, pool, [], {}
+    def begin(self, pool):
+        """Start a step; pool's worker is its second thread."""
+        self.pool, self.pending, self.sq = pool, [], {}
         self.t += 1
         # lr * mhat / (sqrt(vhat) + eps) == step * m / (sqrt(v) + eps_t)
         root_bc2 = np.sqrt(1.0 - _BETA2**self.t)
         self.rate = self.lr * root_bc2 / (1.0 - _BETA1**self.t), _ADAM_EPS * root_bc2
 
     def update(self, i, grad):
-        """Queue parameter i's update, from grad or a future of it, on the worker."""
-        claim = self._claims(i, grad)
-        self.pending.append((i, claim, self.pool.submit(self._update, i, claim, self.spare)))
+        """Queue parameter i's update, from grad or a future of it, on the worker.
+
+        A _RowGrad's rows are sorted and unique, so each tile's part of it
+        is a slice, cut here once. The job's counter hands out the tiles.
+        """
+        cuts = None
+        if isinstance(grad, _RowGrad):
+            p, span = self.params[i], _span(self.params[i])
+            cuts = np.searchsorted(grad.rows, range(0, len(p) + span, span)).tolist()
+        job = (i, grad, cuts, itertools.count())
+        self.pending.append((job, self.pool.submit(self._update, job, self.spare)))
 
     def finish(self):
-        """Run the tiles the worker has not claimed, wait for it and return
+        """Run the tiles the worker has not taken, wait for it and return
         the gradient norm; the first failed update raises. The tiles' squared
         norms add in parameter order, then tile order, as in one serial pass."""
         pending, self.pending = self.pending, []  # the step's gradients go with it
-        for i, claim, _ in pending:
-            self._update(i, claim, self.work)
-        concurrent.futures.wait([done for _, _, done in pending])
-        for _, _, done in pending:
+        for job, _ in pending:
+            self._update(job, self.work)
+        concurrent.futures.wait([done for _, done in pending])
+        for _, done in pending:
             done.result()
         sq = 0.0
         for key in sorted(self.sq):
             sq += self.sq[key]
         return float(np.sqrt(sq))
 
-    def _claims(self, i, grad):
-        """A function that hands out parameter i's row tiles, each (index,
-        tile) pair to one caller on any thread, then None."""
-        # No reference to self: self.pending holds claim, and a cycle would
-        # keep the moments alive after training until a full collection.
-        p, lock, tiles = self.params[i], threading.Lock(), []
-
-        def claim():
-            with lock:
-                if not tiles:  # the first claim waits for a future gradient
-                    g = grad.result() if isinstance(grad, concurrent.futures.Future) else grad
-                    tiles.append(enumerate(_tiles(p, g)))
-                return next(tiles[0], None)
-
-        return claim
-
-    def _update(self, i, claim, work):
-        """Run the tiles of parameter i that claim hands out, through work."""
+    def _update(self, job, work):
+        """Run the row tiles of job's parameter that its counter hands out,
+        through work. Tile k covers rows [k * span, (k + 1) * span); next()
+        on an itertools.count is atomic, so each tile goes to one thread."""
+        i, grad, cuts, tiles = job
         p, m, v, decay = self.params[i], self.m[i], self.v[i], self.decay[i]
+        if isinstance(grad, concurrent.futures.Future):
+            grad = grad.result()
         b1, b2 = _BETA1, _BETA2
         step, eps_t = self.rate
-        for k, (lo, hi, gt, rows) in iter(claim, None):
+        span, rows = _span(p), None
+        for k in tiles:
+            lo, hi = k * span, (k + 1) * span
+            if lo >= len(p):
+                break
+            if cuts is None:
+                gt = grad[lo:hi]
+            else:
+                gt, rows = grad.values[cuts[k] : cuts[k + 1]], grad.rows[cuts[k] : cuts[k + 1]]
             pt, mt, vt = p[lo:hi], m[lo:hi], v[lo:hi]
             buf = work[: pt.size].reshape(pt.shape)
             self.sq[i, k] = np.vdot(gt, gt)
@@ -448,17 +437,15 @@ def train(model, dataset, config, space=None, val_dataset=None):
     loss is not finite.
 
     Where _step_executor starts a worker, each step shares its work with it:
-    X_b during the forward pass, the weight gradients and each layer's
-    update behind backward, then the first layer's tiles. A step waits for
-    it all before it returns or raises, so a forward pass reads no weight
-    that is being updated.
+    X_b, the weight gradients and each layer's update behind backward, then
+    the first layer's tiles. A step waits for it all before it returns or
+    raises, so a forward pass reads no weight that is being updated.
     """
     check_dataset(model, dataset, space)
     if val_dataset is not None:
         check_dataset(model, val_dataset, space, "validation set")
-    params = model.weights + model.biases
     decay = [config.weight_decay] * len(model.weights) + [0.0] * len(model.biases)
-    opt = _Adam(params, config.lr, decay)
+    opt = _Adam(model.weights + model.biases, config.lr, decay)
     n_layers = len(model.weights)
     class_matrix = None
     if model.head == "hrr" and space.n_classes * space.dim <= 4_000_000:
@@ -474,7 +461,6 @@ def train(model, dataset, config, space=None, val_dataset=None):
         with _step_executor() as pool:
             for lo in range(0, dataset.n_examples, config.batch_size):
                 batch = dataset.take(order[lo : lo + config.batch_size])
-                touched = pool.submit(_touched, batch)
                 t0 = time.perf_counter()
                 out, acts = _forward_sparse(model, batch, config.dropout, drop_rng)
                 t1 = time.perf_counter()
@@ -488,9 +474,9 @@ def train(model, dataset, config, space=None, val_dataset=None):
                     )
                 losses.append(loss_value)
                 splits.append(split)
-                opt.begin(params, pool)
+                opt.begin(pool)
                 grads_w, grads_b = _backward_sparse(
-                    model, batch, acts, grad_out, config.dropout, pool, touched, opt.update
+                    model, batch, acts, grad_out, config.dropout, pool, opt.update
                 )
                 t3 = time.perf_counter()
                 opt.update(0, grads_w[0])
@@ -618,7 +604,9 @@ def load_checkpoint(path):
     Every ValueError names the path: a bad magic or format version; a file
     cut short, with the section that is incomplete and the expected and
     actual byte counts; a file with bytes past the last layer, with the
-    expected size and the actual file size; a header with fewer than three
+    expected size and the actual file size; a header that is not a JSON
+    object in UTF-8, or whose head is not fc or hrr, or whose layer_sizes
+    are not integers >= 1, with the field; a header with fewer than three
     layer sizes (no hidden layer), with the count.
     """
     with open(path, "rb") as fh:
@@ -626,12 +614,25 @@ def load_checkpoint(path):
         if magic != _MAGIC:
             raise ValueError(f"not a model checkpoint {path}: bad magic {magic!r}")
         hlen = int(_read_exact(fh, 1, "<u4", path, "header length")[0])
-        header = json.loads(_read_exact(fh, hlen, "u1", path, "header").tobytes())
+        blob = _read_exact(fh, hlen, "u1", path, "header").tobytes()
+        try:
+            header = json.loads(blob)
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not isinstance(header, dict):
+            raise ValueError(f"checkpoint {path}: header is not a JSON object")
         if header.get("format_version") != _FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint {path}: format version {header.get('format_version')}"
             )
-        sizes = header["layer_sizes"]
+        head = header.get("head")
+        if head not in ("fc", "hrr"):
+            raise ValueError(f"checkpoint {path}: head must be 'fc' or 'hrr', got {head!r}")
+        sizes = header.get("layer_sizes")
+        if not isinstance(sizes, list) or not all(type(n) is int and n >= 1 for n in sizes):
+            raise ValueError(
+                f"checkpoint {path}: layer_sizes must be a list of integers >= 1, got {sizes!r}"
+            )
         if len(sizes) < 3:
             raise ValueError(
                 f"checkpoint {path} has {len(sizes)} layer sizes; a model needs at "
@@ -647,4 +648,4 @@ def load_checkpoint(path):
                 f"oversized checkpoint {path}: header and layers need {expected} "
                 f"bytes, file has {actual}"
             )
-    return MlpModel(weights=weights, biases=biases, head=header["head"]), header
+    return MlpModel(weights=weights, biases=biases, head=head), header

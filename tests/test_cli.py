@@ -19,14 +19,23 @@ def run_cli(args):
     return main(list(args))
 
 
-def inflate_layer_sizes(path, sizes):
-    """Rewrite a checkpoint's header to claim other layer sizes, payload unchanged."""
+def rewrite_header(path, edit):
+    """Replace a checkpoint's header with edit(header), as JSON unless it is
+    bytes, payload unchanged."""
     blob = path.read_bytes()
     hlen = int.from_bytes(blob[8:12], "little")
-    header = json.loads(blob[12 : 12 + hlen])
-    header["layer_sizes"] = sizes
-    text = json.dumps(header).encode()
+    text = edit(json.loads(blob[12 : 12 + hlen]))
+    text = text if isinstance(text, bytes) else json.dumps(text).encode()
     path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen :])
+
+
+def inflate_layer_sizes(path, sizes):
+    """Rewrite a checkpoint's header to claim other layer sizes, payload unchanged."""
+    rewrite_header(path, lambda header: {**header, "layer_sizes": sizes})
+
+
+def without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
 
 
 def write_synth(tmp_path, name, n, seed, noise=0.05):
@@ -633,6 +642,53 @@ class TestTrainEvalCommands:
             f"least 3 (input, hidden, output)\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "head, edit, field",
+        [
+            ("fc", without("layer_sizes"), "layer_sizes"),
+            ("fc", lambda header: {**header, "head": "xyz"}, "head"),
+            ("fc", lambda header: {**header, "layer_sizes": [100, "8", 20]}, "layer_sizes"),
+            ("fc", lambda header: {**header, "layer_sizes": [100, True, 20]}, "layer_sizes"),
+            ("fc", lambda header: {**header, "layer_sizes": [100, -8, 20]}, "layer_sizes"),
+            ("fc", lambda header: list(header.items()), "header"),
+            ("fc", lambda header: b"{not json", "header"),
+            ("fc", lambda header: b"\xff{}", "header"),
+            ("hrr", without("d_prime"), "d_prime"),
+            ("hrr", lambda header: {**header, "d_prime": 16}, "d_prime"),
+            ("hrr", lambda header: {**header, "label_seed": "1"}, "label_seed"),
+        ],
+    )
+    def test_eval_malformed_checkpoint_header_exits_2_naming_path_and_field(
+        self, tmp_path, capsys, head, edit, field
+    ):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "report.json"
+        extra = {"n_labels": 20, "d_prime": 32, "label_seed": 1} if head == "hrr" else None
+        model = tr.init_model(100, (8,), 32 if head == "hrr" else 20, head, seed=1)
+        tr.save_checkpoint(model, ckpt, extra=extra)
+        argv = ["eval", "--data", str(data_path), "--checkpoint", str(ckpt), "--k", "1"]
+        assert run_cli(argv) == 0  # the checkpoint as saved evaluates
+        capsys.readouterr()
+        rewrite_header(ckpt, edit)
+        assert run_cli(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"hrrkit: checkpoint {ckpt}: {field} ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag, token",
+        [
+            (["eval", "--data", "d.txt", "--checkpoint", "m.ckpt", "--k", "1,x"], "--k", "x"),
+            (["capacity", "--vsa", "hrr", "--dims", "1024,abc"], "--dims", "abc"),
+            (["train", "--data", "d.txt", "--head", "fc", "--hidden", "8,x", "--out", "m.ckpt"],
+             "--hidden", "x"),
+        ],
+    )
+    def test_comma_list_flag_error_names_the_flag_and_token(self, capsys, argv, flag, token):
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == (
+            f"hrrkit: {flag} takes comma-separated integers, got {token!r}\n"
+        )
 
     def test_eval_shape_mismatch_exits_2(self, tmp_path, capsys):
         train_path, _ = write_synth(tmp_path, "train.txt", 64, seed=7)

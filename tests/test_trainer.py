@@ -3,6 +3,7 @@
 import concurrent.futures
 import dataclasses
 import gc
+import itertools
 import json
 import sys
 import threading
@@ -406,7 +407,7 @@ class TestFusedAdam:
                 grads[0] = np.zeros(shapes[0])
                 grads[0][rows] = rng.standard_normal((7, 6))
                 fed[0] = tr._RowGrad(rows, grads[0][rows].copy())
-            opt.step(params, fed)
+            opt.step(fed)
             textbook_adam(ref_params, grads, ref_m, ref_v, t, 1e-2, 0.9, 0.999, 1e-8, decay)
             pairs = [(p - p0, r - p0) for p, r, p0 in zip(params, ref_params, start)]
             pairs += list(zip(opt.m, ref_m)) + list(zip(opt.v, ref_v))
@@ -437,7 +438,7 @@ class TestFusedAdam:
                 grads[0] = tr._RowGrad(rows, rng.standard_normal((rows.size, w1_shape[1])))
                 dense[0] = np.zeros(w1_shape)
                 dense[0][rows] = grads[0].values
-            norm = opt.step(params, grads)
+            norm = opt.step(grads)
             ref.step(ref_params, grads)
             for got, want in zip(params + opt.m + opt.v, ref_params + ref.m + ref.v):
                 assert np.array_equal(got, want)
@@ -462,7 +463,7 @@ class TestFusedAdam:
                 try:
                     base = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    opt.step(params, grads, executor)
+                    opt.step(grads, executor)
                     peak = tracemalloc.get_traced_memory()[1] - base
                 finally:
                     tracemalloc.stop()
@@ -477,7 +478,7 @@ class TestFusedAdam:
             for executor in (tr._INLINE, pool):
                 for _ in range(3):
                     grads = [tr._RowGrad(np.array([1, 4]), np.ones((2, 3))), np.ones(3)]
-                    opt.step(params, grads, executor)
+                    opt.step(grads, executor)
         assert opt.work is work and opt.spare is spare
 
 
@@ -738,25 +739,33 @@ class TestTwoCoreStep:
         opt, ref = tr._Adam(params, hyper["lr"], decay), UntiledAdam(ref_params, **hyper)
         inline = tr._Adam(inline_params, hyper["lr"], decay)
         owners = {}  # W1's tile index -> the thread that updated it, this step
-        claims = opt._claims
+        hooks, update = {}, opt._update  # a job's id -> its hooked counter, this step
 
-        def both_threads(i, g):
-            # After its first claim each thread waits at a barrier for the
-            # other's, so both threads update some of a parameter's tiles.
-            claim, barrier, seen = claims(i, g), threading.Barrier(2, timeout=10), threading.local()
+        class BothThreads:
+            # Job i's counter. After its first tile each thread waits at a
+            # barrier for the other's, so both threads update some of a
+            # parameter's tiles.
+            def __init__(self, i, tiles):
+                self.i, self.tiles = i, tiles
+                self.barrier, self.seen = threading.Barrier(2, timeout=10), threading.local()
 
-            def next_tile():
-                got = claim()
-                if got is not None and i == 0:
-                    owners[got[0]] = threading.current_thread()
-                if not getattr(seen, "first", False):
-                    seen.first = True
-                    barrier.wait()
-                return got
+            def __iter__(self):
+                return self
 
-            return next_tile
+            def __next__(self):
+                k = next(self.tiles)
+                if self.i == 0 and k < 43:
+                    owners[k] = threading.current_thread()
+                if not getattr(self.seen, "first", False):
+                    self.seen.first = True
+                    self.barrier.wait()
+                return k
 
-        opt._claims = both_threads
+        def hooked(job, work):
+            i, grad, cuts, tiles = job  # both threads get one job, so one hook
+            return update((i, grad, cuts, hooks.setdefault(id(job), BothThreads(i, tiles))), work)
+
+        opt._update = hooked
         with concurrent.futures.ThreadPoolExecutor(1) as pool:
             for _ in range(4):
                 grads = [rng.standard_normal(shape) for shape in shapes]
@@ -764,25 +773,37 @@ class TestTwoCoreStep:
                     rows = w1_rows(case, shapes[0][0], 64 // shapes[0][1], rng)
                     grads[0] = tr._RowGrad(rows, rng.standard_normal((rows.size, shapes[0][1])))
                 owners.clear()
-                norm = opt.step(params, grads, pool)
+                hooks.clear()
+                norm = opt.step(grads, pool)
                 assert len(owners) == 43 and len(set(owners.values())) == 2
                 ref.step(ref_params, grads)
-                assert norm == inline.step(inline_params, grads)
+                assert norm == inline.step(grads)
                 for got, want in zip(params + opt.m + opt.v, ref_params + ref.m + ref.v):
                     assert np.array_equal(got, want)
 
-    def test_claims_hand_out_each_tile_once_under_contention(self, monkeypatch):
+    def test_one_counter_hands_out_each_tile_once_under_contention(self, monkeypatch):
         monkeypatch.setattr(tr, "_TILE", 64)
         params = [np.zeros((4000, 2))]  # 32 rows a tile: 125 tiles
         opt = tr._Adam(params, 1e-3, [0.0])
-        opt.begin(params, tr._INLINE)
-        claim = opt._claims(0, np.zeros((4000, 2)))
+        opt.begin(tr._INLINE)
         taken = [[] for _ in range(4)]  # four threads, more than a 2-CPU runner has cores
+        counter, mine = itertools.count(), threading.local()
+
+        class Recorded:  # the job's counter, noting each index in its thread's list
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                mine.out.append(next(counter))
+                return mine.out[-1]
+
+        job = (0, np.zeros((4000, 2)), None, Recorded())
 
         def take(out):
-            out.extend(k for k, _ in iter(claim, None))
+            mine.out = out
+            opt._update(job, np.empty(opt.work.size))
 
-        threads = [threading.Thread(target=take, args=(out,)) for out in taken]
+        threads = [threading.Thread(target=take, args=(out,), daemon=True) for out in taken]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -793,7 +814,10 @@ class TestTwoCoreStep:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert sorted(k for out in taken for k in out) == list(range(125))
+        # each tile once, and each thread stops at its first index past the end
+        assert sorted(k for out in taken for k in out) == list(range(125 + 4))
+        assert all(max(out) >= 125 > max(out[:-1], default=-1) for out in taken)
+        assert sorted(opt.sq) == [(0, k) for k in range(125)]
 
     @pytest.mark.parametrize("worker", [False, True])
     def test_a_finished_step_keeps_no_gradient_and_no_cycle(self, worker):
@@ -807,7 +831,7 @@ class TestTwoCoreStep:
         gc.disable()
         try:
             with concurrent.futures.ThreadPoolExecutor(1) as pool:
-                opt.step(params, grads, pool if worker else tr._INLINE)
+                opt.step(grads, pool if worker else tr._INLINE)
             del grads
             assert [ref() for ref in held] == [None, None]
             freed = weakref.ref(opt)
@@ -828,17 +852,17 @@ class TestTwoCoreStep:
             return forward(*args)
 
         def failing_touched(batch):
-            if len(forwards) == 3:  # batch 2's, submitted before its forward pass
+            if len(forwards) == 3:  # batch 2's, submitted after its forward pass
                 failed_on.append(threading.current_thread())
                 raise RuntimeError("worker failed")
             return touched(batch)
 
-        def failing_update(opt, i, claim, work):
+        def failing_update(opt, job, work):
             # batch 2's W2 update, queued on the worker behind backward
-            if opt.t == 3 and i == 1 and threading.current_thread() is not threading.main_thread():
+            if opt.t == 3 and job[0] == 1 and threading.current_thread() is not threading.main_thread():
                 failed_on.append(threading.current_thread())
                 raise RuntimeError("worker failed")
-            return update(opt, i, claim, work)
+            return update(opt, job, work)
 
         monkeypatch.setattr(tr, "_forward_sparse", counted)
         if site == "touched":
