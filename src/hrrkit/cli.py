@@ -267,30 +267,12 @@ def cmd_eval(args):
     if args.predictions:
         rankings = _read_predictions(args.predictions, dataset.n_examples, dataset.n_labels)
     else:
-        model, header = trainermod.load_checkpoint(args.checkpoint)
-        space, comp = None, 0.0
-        if model.head == "hrr":
-            for key in ("n_labels", "d_prime", "label_seed"):
-                if type(header.get(key)) is not int:
-                    raise ValueError(
-                        f"checkpoint {args.checkpoint}: {key} must be an integer, "
-                        f"got {header.get(key)!r}"
-                    )
-            if header["d_prime"] != model.out_dim:
-                raise ValueError(
-                    f"checkpoint {args.checkpoint}: d_prime {header['d_prime']} != "
-                    f"layer_sizes[-1] {model.out_dim}"
-                )
-            space = labelcodec.make_label_space(
-                header["n_labels"], header["d_prime"], header["label_seed"]
-            )
-            comp = trainermod.compression_percent(
-                header["n_labels"], header["d_prime"], header["layer_sizes"][-2]
-            )
-        trainermod.check_dataset(model, dataset, space)
-        rankings = trainermod.predict_rankings(
-            model, dataset, space=space, k=max(ks)
-        )
+        model, space = trainermod.load_checkpoint(args.checkpoint)
+        trainermod.check_dataset(model, dataset, space, name=f"--data {args.data}")
+        rankings = trainermod.predict_rankings(model, dataset, space=space, k=max(ks))
+        comp = 0.0
+        if space is not None:
+            comp = trainermod.compression_percent(space.n_classes, space.dim, model.layer_sizes[-2])
         out_params, total = trainermod.param_count(model)
         body["params"] = {
             "output_params": out_params,

@@ -17,7 +17,8 @@ The loss never needs the encoded target: it queries the prediction
 directly. Unbinding the present role should reveal every present class
 vector (cosine near one), and unbinding the missing role should reveal
 nothing about them (cosine near zero). Class vectors are regenerated from
-a counter-based seed on demand, so no L x d' matrix is ever stored.
+a counter-based seed on demand, so the space stores no L x d' matrix;
+trainer.train caches one for the loss when L * d' <= 4,000,000.
 
 Class i's vector is derived as mix64(seed, i) -> numpy SeedSequence ->
 PCG64 -> d' standard normals / sqrt(d') -> core.project(eps=0): the

@@ -599,15 +599,15 @@ def _read_exact(fh, shape, dtype, path, section):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint written by save_checkpoint; returns (model, header).
+    """Read a checkpoint written by save_checkpoint; returns (model, space).
 
-    Every ValueError names the path: a bad magic or format version; a file
-    cut short, with the section that is incomplete and the expected and
-    actual byte counts; a file with bytes past the last layer, with the
-    expected size and the actual file size; a header that is not a JSON
-    object in UTF-8, or whose head is not fc or hrr, or whose layer_sizes
-    are not integers >= 1, with the field; a header with fewer than three
-    layer sizes (no hidden layer), with the count.
+    space is the hrr head's LabelSpace, from the header's n_labels, d_prime
+    and label_seed, or None for fc. The header is checked whole (README has
+    the schema) before any layer is read. Every ValueError names the path:
+    a bad magic or format version; a file cut short, with the section that
+    is incomplete and the expected and actual byte counts; bytes past the
+    last layer, with the expected and actual file sizes; fewer than three
+    layer sizes, with the count; any other header fault, with the field.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -638,6 +638,27 @@ def load_checkpoint(path):
                 f"checkpoint {path} has {len(sizes)} layer sizes; a model needs at "
                 f"least 3 (input, hidden, output)"
             )
+        # Fields that restate layer_sizes agree with it where present,
+        # compared as JSON so that true is not 1; fc has no label space.
+        hrr = head == "hrr"
+        implied = {"n_features": sizes[0], "hidden": sizes[1:-1], "d_prime": sizes[-1]}
+        if not hrr:
+            implied.update(n_labels=sizes[-1], d_prime=None, label_seed=None)
+        for key, want in implied.items():
+            if key in header and json.dumps(header[key]) != json.dumps(want):
+                raise ValueError(
+                    f"checkpoint {path}: {key} must be {want!r} to match head {head!r} and "
+                    f"layer_sizes {sizes}, got {header[key]!r}"
+                )
+        # hrr needs its label space's arguments; any integer is a seed
+        floors = {"n_labels": 1, "d_prime": 2, "label_seed": None} if hrr else {}
+        if "train_seed" in header:
+            floors["train_seed"] = None
+        for key, low in floors.items():
+            value = header.get(key)
+            if type(value) is not int or (low is not None and value < low):
+                need = "an integer" if low is None else f"an integer >= {low}"
+                raise ValueError(f"checkpoint {path}: {key} must be {need}, got {value!r}")
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             weights.append(_read_exact(fh, (fan_in, fan_out), "<f8", path, f"layer {i} weights"))
@@ -648,4 +669,6 @@ def load_checkpoint(path):
                 f"oversized checkpoint {path}: header and layers need {expected} "
                 f"bytes, file has {actual}"
             )
-    return MlpModel(weights=weights, biases=biases, head=head), header
+    n_labels, dim, seed = (header.get(key) for key in ("n_labels", "d_prime", "label_seed"))
+    space = labelcodec.make_label_space(n_labels, dim, seed) if hrr else None
+    return MlpModel(weights=weights, biases=biases, head=head), space

@@ -38,6 +38,17 @@ def without(key):
     return lambda header: {k: v for k, v in header.items() if k != key}
 
 
+def set_field(head, key, value, **also):
+    """A checkpoint-header case: head's header with key set to value."""
+    return pytest.param(head, lambda header: {**header, key: value, **also}, key,
+                        id=f"{head}-{key}={json.dumps(value)}")
+
+
+def drop_field(head, key):
+    """A checkpoint-header case: head's header without key."""
+    return pytest.param(head, without(key), key, id=f"{head}-{key}-missing")
+
+
 def write_synth(tmp_path, name, n, seed, noise=0.05):
     ds = dataio.synth_generate(n, 100, 20, labels_per_point=2, seed=seed, noise=noise)
     path = tmp_path / name
@@ -657,6 +668,56 @@ class TestTrainEvalCommands:
             ("hrr", without("d_prime"), "d_prime"),
             ("hrr", lambda header: {**header, "d_prime": 16}, "d_prime"),
             ("hrr", lambda header: {**header, "label_seed": "1"}, "label_seed"),
+            # each field against missing where required, the wrong type, a
+            # bool, 0, a negative value and a value layer_sizes contradicts
+            drop_field("fc", "head"),
+            set_field("hrr", "head", True),
+            set_field("fc", "head", 0),
+            set_field("fc", "layer_sizes", "100,8,20"),
+            set_field("hrr", "layer_sizes", True),
+            set_field("fc", "layer_sizes", [100, 0, 20]),
+            set_field("hrr", "n_features", "100"),
+            set_field("fc", "n_features", 100.0),
+            set_field("fc", "n_features", None),
+            set_field("hrr", "n_features", True),
+            set_field("fc", "n_features", 0),
+            set_field("hrr", "n_features", -100),
+            set_field("fc", "n_features", 99),
+            set_field("fc", "hidden", 8),
+            set_field("hrr", "hidden", ["8"]),
+            set_field("fc", "hidden", [True]),
+            set_field("hrr", "hidden", [0]),
+            set_field("fc", "hidden", [-8]),
+            set_field("fc", "hidden", [7]),
+            set_field("hrr", "hidden", [8, 8]),
+            drop_field("hrr", "n_labels"),
+            set_field("hrr", "n_labels", "20"),
+            set_field("hrr", "n_labels", 20.0),
+            set_field("hrr", "n_labels", True),
+            set_field("hrr", "n_labels", 0),
+            set_field("hrr", "n_labels", -3),
+            set_field("fc", "n_labels", "x"),
+            set_field("fc", "n_labels", True),
+            set_field("fc", "n_labels", 0),
+            set_field("fc", "n_labels", -20),
+            set_field("fc", "n_labels", 11),
+            set_field("hrr", "d_prime", "32"),
+            set_field("hrr", "d_prime", True),
+            set_field("hrr", "d_prime", 0),
+            set_field("hrr", "d_prime", -32),
+            set_field("hrr", "d_prime", 1, layer_sizes=[100, 8, 1]),
+            set_field("fc", "d_prime", 20),
+            set_field("fc", "d_prime", 0),
+            drop_field("hrr", "label_seed"),
+            set_field("hrr", "label_seed", None),
+            set_field("hrr", "label_seed", 1.5),
+            set_field("hrr", "label_seed", True),
+            set_field("fc", "label_seed", 0),
+            set_field("fc", "label_seed", -1),
+            set_field("fc", "train_seed", "1"),
+            set_field("hrr", "train_seed", None),
+            set_field("hrr", "train_seed", 1.5),
+            set_field("fc", "train_seed", False),
         ],
     )
     def test_eval_malformed_checkpoint_header_exits_2_naming_path_and_field(
@@ -664,7 +725,10 @@ class TestTrainEvalCommands:
     ):
         data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
         ckpt, out = tmp_path / "m.ckpt", tmp_path / "report.json"
-        extra = {"n_labels": 20, "d_prime": 32, "label_seed": 1} if head == "hrr" else None
+        extra = {"n_features": 100, "n_labels": 20, "d_prime": None, "label_seed": None,
+                 "hidden": [8], "train_seed": 1}  # the fields train writes
+        if head == "hrr":
+            extra.update(d_prime=32, label_seed=1)
         model = tr.init_model(100, (8,), 32 if head == "hrr" else 20, head, seed=1)
         tr.save_checkpoint(model, ckpt, extra=extra)
         argv = ["eval", "--data", str(data_path), "--checkpoint", str(ckpt), "--k", "1"]
@@ -703,7 +767,32 @@ class TestTrainEvalCommands:
         assert run_cli([
             "eval", "--data", str(other_path), "--checkpoint", str(ckpt),
         ]) == 2
-        assert "features" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"hrrkit: --data {other_path} has 40 features, model input has 100\n"
+        )
+
+    @pytest.mark.parametrize(
+        "head, extra",
+        [
+            ("fc", None),
+            ("hrr", {"n_labels": 20, "d_prime": 32, "label_seed": 1}),
+            ("hrr", {"n_labels": 20, "d_prime": 32, "label_seed": -1, "train_seed": 0}),
+            ("hrr", {"n_labels": 20, "d_prime": 32, "label_seed": 0, "train_seed": -5}),
+            ("fc", {"n_labels": 20, "d_prime": None, "note": "any other key is allowed"}),
+        ],
+    )
+    def test_eval_accepts_absent_optional_fields_and_any_integer_seed(
+        self, tmp_path, head, extra
+    ):
+        data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
+        ckpt, out = tmp_path / "m.ckpt", tmp_path / "report.json"
+        model = tr.init_model(100, (8,), 32 if head == "hrr" else 20, head, seed=1)
+        tr.save_checkpoint(model, ckpt, extra=extra)
+        assert run_cli([
+            "eval", "--data", str(data_path), "--checkpoint", str(ckpt), "--k", "1",
+            "--out", str(out),
+        ]) == 0
+        assert out.exists()
 
     def test_malformed_data_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -1089,8 +1089,8 @@ class TestCheckpoint:
         model = tr.init_model(12, (6, 5), 4, "hrr", seed=2)
         path = tmp_path / "model.ckpt"
         tr.save_checkpoint(model, path, extra={"n_labels": 9, "d_prime": 4, "label_seed": 1})
-        loaded, header = tr.load_checkpoint(path)
-        assert header["n_labels"] == 9 and header["head"] == "hrr"
+        loaded, space = tr.load_checkpoint(path)
+        assert (space.n_classes, space.dim, space.seed) == (9, 4, 1) and loaded.head == "hrr"
         assert loaded.layer_sizes == model.layer_sizes
         assert model_params_bytes(loaded) == model_params_bytes(model)
 
@@ -1258,7 +1258,7 @@ class TestCheckpoint:
         # each layer is read straight into its array, not into bytes first
         model = tr.init_model(2000, (256,), 64, "hrr", seed=4)
         path = tmp_path / "model.ckpt"
-        tr.save_checkpoint(model, path)
+        tr.save_checkpoint(model, path, extra={"n_labels": 100, "d_prime": 64, "label_seed": 4})
         weight_bytes = sum(w.nbytes + b.nbytes for w, b in zip(model.weights, model.biases))
         tracemalloc.start()
         try:
