@@ -195,9 +195,9 @@ def cmd_train(args):
         seed=args.seed,
     )
     dataset = dataio.parse_xml_repo(args.data, one_based=args.one_based)
-    label_seed = args.label_seed if args.label_seed is not None else args.seed
     if args.head == "hrr":
         out_dim = args.d_prime
+        label_seed = args.label_seed if args.label_seed is not None else args.seed
         space = labelcodec.make_label_space(dataset.n_labels, args.d_prime, label_seed)
     else:
         out_dim = dataset.n_labels
@@ -209,15 +209,7 @@ def cmd_train(args):
     if args.val_data:
         val = dataio.parse_xml_repo(args.val_data, one_based=args.one_based)
     model, stats = trainermod.train(model, dataset, config, space=space, val_dataset=val)
-    meta = {
-        "n_features": dataset.n_features,
-        "n_labels": dataset.n_labels,
-        "d_prime": args.d_prime if args.head == "hrr" else None,
-        "label_seed": label_seed if args.head == "hrr" else None,
-        "hidden": hidden,
-        "train_seed": args.seed,
-    }
-    trainermod.save_checkpoint(model, args.out, extra=meta)
+    trainermod.save_checkpoint(model, args.out, extra={"train_seed": args.seed}, space=space)
     stats_path = args.stats or (args.out + ".stats.jsonl")
     _write_stats(stats_path, _manifest("train", args), map(dataclasses.asdict, stats))
     return 0

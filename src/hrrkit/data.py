@@ -275,19 +275,56 @@ def parse_xml_repo(source, one_based=False):
     return SparseDataset(d, l, *columns)
 
 
-def serialize_xml_repo(ds, stream=None):
-    """Write the dataset in the exact dialect parse_xml_repo accepts."""
-    own = stream is None
-    if own:
-        stream = io.StringIO()
-    stream.write(f"{ds.n_examples} {ds.n_features} {ds.n_labels}\n")
-    for lo in range(0, ds.n_examples, 128):  # 128 rows' tokens at a time keep memory flat
+def _first_refused_row(ds):
+    """The first row that parse_xml_repo would refuse once written, or None."""
+    counts = np.diff(ds.indptr)
+    found = [
+        np.searchsorted(ptr, np.flatnonzero(bad)[:1], side="right") - 1
+        for ptr, bad in (
+            (ds.label_indptr, (ds.labels < 0) | (ds.labels >= ds.n_labels)),
+            (ds.indptr, (ds.indices < 0) | (ds.indices >= ds.n_features) | ~np.isfinite(ds.values)),
+        )
+    ]
+    if not _ascending_within(ds.indices, counts):  # only an unsorted row can repeat an index
+        order, line = _line_sort(ds.indices, counts)
+        found.append(line[1:][(np.diff(ds.indices[order]) == 0) & (np.diff(line) == 0)][:1])
+    rows = np.concatenate(found)
+    return int(rows.min()) if rows.size else None
+
+
+def _lines(ds):
+    # 128 rows' tokens at a time keep memory flat
+    for lo in range(0, ds.n_examples, 128):
         rows = ds.take(slice(lo, lo + 128))
         labels = list(map(str, rows.labels.tolist()))
         feats = [f"{i}:{v!r}" for i, v in zip(rows.indices.tolist(), rows.values.tolist())]
         f, l = rows.indptr.tolist(), rows.label_indptr.tolist()
         for f0, f1, l0, l1 in zip(f, f[1:], l, l[1:]):
-            stream.write((",".join(labels[l0:l1]) + " " + " ".join(feats[f0:f1])).rstrip() + "\n")
+            yield (",".join(labels[l0:l1]) + " " + " ".join(feats[f0:f1])).rstrip() + "\n"
+
+
+def serialize_xml_repo(ds, stream=None):
+    """Write the dataset in the exact dialect parse_xml_repo accepts.
+
+    A dataset the parser would refuse once written raises ValueError
+    before anything is written, naming the first such row and its first
+    fault in the parser's words.
+    """
+    if ds.n_features < 1 or ds.n_labels < 1:
+        raise ValueError(
+            f"non-positive header sizes {ds.n_examples} {ds.n_features} {ds.n_labels}"
+        )
+    row = _first_refused_row(ds)
+    if row is not None:
+        try:
+            _check_line(next(_lines(ds.take([row]))), row + 2, ds.n_features, ds.n_labels, 0)
+        except DatasetFormatError as err:  # "line N: fault"
+            raise ValueError(f"row {row}: {str(err).partition(': ')[2]}") from None
+    own = stream is None
+    if own:
+        stream = io.StringIO()
+    stream.write(f"{ds.n_examples} {ds.n_features} {ds.n_labels}\n")
+    stream.writelines(_lines(ds))
     return stream.getvalue() if own else None
 
 

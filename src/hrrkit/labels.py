@@ -285,12 +285,14 @@ def topk(blocks, k):
     and the next few columns; the winners have lower indices, so ties break
     toward the lower index, as in one full stable argsort. Once a row holds
     k winners, a column can enter only with a score strictly above the
-    row's k-th best, so a step merges only the rows where one does.
+    row's k-th best, so a step merges only the rows where one does. Blocks
+    with rows but no columns give an (n, 0) array; no block is a ValueError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    best = index = None
+    best = index = n_rows = None
     for start, block in blocks:
+        n_rows = len(block)
         width = max(32, _MERGE_CELLS // (len(block) + 1))
         for lo in range(0, block.shape[1], width):
             scores = block[:, lo : lo + width]
@@ -317,7 +319,9 @@ def topk(blocks, k):
         # score blocks are never alive at once (the next block's class
         # vectors may already be in the making on the producer's thread)
         block = scores = None
-    return index
+    if n_rows is None:
+        raise ValueError("topk needs at least one block of scores")
+    return np.empty((n_rows, 0), np.int64) if index is None else index
 
 
 def decode_topk(space, s_hat, k):

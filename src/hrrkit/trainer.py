@@ -544,8 +544,13 @@ def compression_percent(n_labels, d_prime, hidden_width):
     return 100.0 * (1.0 - hrr / fc)
 
 
-def save_checkpoint(model, path, extra=None):
+def save_checkpoint(model, path, extra=None, space=None):
     """Versioned binary checkpoint: magic, JSON header, float64 LE blocks.
+
+    The model fixes format_version, head, layer_sizes and the fields that
+    restate them, space fixes n_labels, d_prime and label_seed, and extra
+    adds other keys. A header load_checkpoint would refuse raises its
+    ValueError before any file is opened.
 
     The bytes go to a temporary file beside path, which os.replace then
     moves into place, so a write that fails part way leaves any earlier
@@ -554,13 +559,12 @@ def save_checkpoint(model, path, extra=None):
     against the machine losing power. Each layer is written from its own
     buffer, with no bytes copy of it.
     """
-    header = {
-        "format_version": _FORMAT_VERSION,
-        "head": model.head,
-        "layer_sizes": model.layer_sizes,
-    }
-    if extra:
-        header.update(extra)
+    header = dict(extra or {})
+    header.update(_restated(model.head, model.layer_sizes))
+    if space is not None:
+        header.update(n_labels=space.n_classes, d_prime=space.dim, label_seed=space.seed)
+    header.update(format_version=_FORMAT_VERSION, head=model.head, layer_sizes=model.layer_sizes)
+    _check_header(header, path)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     tmp = os.fspath(path) + ".tmp"
     try:
@@ -576,6 +580,55 @@ def save_checkpoint(model, path, extra=None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _restated(head, sizes):
+    # The header fields that restate layer_sizes: save_checkpoint writes
+    # them and _check_header holds them to it. fc has no label space.
+    fields = {"n_features": sizes[0], "hidden": sizes[1:-1], "d_prime": sizes[-1]}
+    if head == "fc":
+        fields.update(n_labels=sizes[-1], d_prime=None, label_seed=None)
+    return fields
+
+
+def _check_header(header, path):
+    """Raise the ValueError, naming path, of a header load_checkpoint refuses."""
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint {path}: header is not a JSON object")
+    if header.get("format_version") != _FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported checkpoint {path}: format version {header.get('format_version')}"
+        )
+    head = header.get("head")
+    if head not in ("fc", "hrr"):
+        raise ValueError(f"checkpoint {path}: head must be 'fc' or 'hrr', got {head!r}")
+    sizes = header.get("layer_sizes")
+    if not isinstance(sizes, list) or not all(type(n) is int and n >= 1 for n in sizes):
+        raise ValueError(
+            f"checkpoint {path}: layer_sizes must be a list of integers >= 1, got {sizes!r}"
+        )
+    if len(sizes) < 3:
+        raise ValueError(
+            f"checkpoint {path} has {len(sizes)} layer sizes; a model needs at "
+            f"least 3 (input, hidden, output)"
+        )
+    # Fields that restate layer_sizes agree with it where present,
+    # compared as JSON so that true is not 1.
+    for key, want in _restated(head, sizes).items():
+        if key in header and json.dumps(header[key]) != json.dumps(want):
+            raise ValueError(
+                f"checkpoint {path}: {key} must be {want!r} to match head {head!r} and "
+                f"layer_sizes {sizes}, got {header[key]!r}"
+            )
+    # hrr needs its label space's arguments; any integer is a seed
+    floors = {"n_labels": 1, "d_prime": 2, "label_seed": None} if head == "hrr" else {}
+    if "train_seed" in header:
+        floors["train_seed"] = None
+    for key, low in floors.items():
+        value = header.get(key)
+        if type(value) is not int or (low is not None and value < low):
+            need = "an integer" if low is None else f"an integer >= {low}"
+            raise ValueError(f"checkpoint {path}: {key} must be {need}, got {value!r}")
 
 
 def _read_exact(fh, shape, dtype, path, section):
@@ -619,46 +672,8 @@ def load_checkpoint(path):
             header = json.loads(blob)
         except ValueError:  # not JSON, or not UTF-8
             header = None
-        if not isinstance(header, dict):
-            raise ValueError(f"checkpoint {path}: header is not a JSON object")
-        if header.get("format_version") != _FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint {path}: format version {header.get('format_version')}"
-            )
-        head = header.get("head")
-        if head not in ("fc", "hrr"):
-            raise ValueError(f"checkpoint {path}: head must be 'fc' or 'hrr', got {head!r}")
-        sizes = header.get("layer_sizes")
-        if not isinstance(sizes, list) or not all(type(n) is int and n >= 1 for n in sizes):
-            raise ValueError(
-                f"checkpoint {path}: layer_sizes must be a list of integers >= 1, got {sizes!r}"
-            )
-        if len(sizes) < 3:
-            raise ValueError(
-                f"checkpoint {path} has {len(sizes)} layer sizes; a model needs at "
-                f"least 3 (input, hidden, output)"
-            )
-        # Fields that restate layer_sizes agree with it where present,
-        # compared as JSON so that true is not 1; fc has no label space.
-        hrr = head == "hrr"
-        implied = {"n_features": sizes[0], "hidden": sizes[1:-1], "d_prime": sizes[-1]}
-        if not hrr:
-            implied.update(n_labels=sizes[-1], d_prime=None, label_seed=None)
-        for key, want in implied.items():
-            if key in header and json.dumps(header[key]) != json.dumps(want):
-                raise ValueError(
-                    f"checkpoint {path}: {key} must be {want!r} to match head {head!r} and "
-                    f"layer_sizes {sizes}, got {header[key]!r}"
-                )
-        # hrr needs its label space's arguments; any integer is a seed
-        floors = {"n_labels": 1, "d_prime": 2, "label_seed": None} if hrr else {}
-        if "train_seed" in header:
-            floors["train_seed"] = None
-        for key, low in floors.items():
-            value = header.get(key)
-            if type(value) is not int or (low is not None and value < low):
-                need = "an integer" if low is None else f"an integer >= {low}"
-                raise ValueError(f"checkpoint {path}: {key} must be {need}, got {value!r}")
+        _check_header(header, path)
+        head, sizes = header["head"], header["layer_sizes"]
         weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             weights.append(_read_exact(fh, (fan_in, fan_out), "<f8", path, f"layer {i} weights"))
@@ -670,5 +685,5 @@ def load_checkpoint(path):
                 f"bytes, file has {actual}"
             )
     n_labels, dim, seed = (header.get(key) for key in ("n_labels", "d_prime", "label_seed"))
-    space = labelcodec.make_label_space(n_labels, dim, seed) if hrr else None
+    space = labelcodec.make_label_space(n_labels, dim, seed) if head == "hrr" else None
     return MlpModel(weights=weights, biases=biases, head=head), space

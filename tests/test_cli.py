@@ -30,8 +30,11 @@ def rewrite_header(path, edit):
 
 
 def inflate_layer_sizes(path, sizes):
-    """Rewrite a checkpoint's header to claim other layer sizes, payload unchanged."""
-    rewrite_header(path, lambda header: {**header, "layer_sizes": sizes})
+    """Rewrite an fc checkpoint's header to claim other layer sizes, payload
+    unchanged, without the optional fields that restate the old sizes."""
+    rewrite_header(path, lambda header: {
+        "format_version": header["format_version"], "head": "fc", "layer_sizes": sizes,
+    })
 
 
 def without(key):
@@ -204,13 +207,9 @@ class TestCapacityCommand:
         assert f"error: {cfg}:{message}" in capsys.readouterr().err
 
     def test_config_boolean_switch(self, tmp_path):
-        ds = dataio.synth_generate(12, 30, 4, labels_per_point=1, seed=10)
-        shifted = dataio.SparseDataset(
-            ds.n_features, ds.n_labels,
-            ds.indptr, ds.indices + 1, ds.values, ds.label_indptr, ds.labels + 1,
-        )
+        # label L and feature D: a file only the 1-based reading accepts
         path = tmp_path / "onebased.txt"
-        path.write_text(dataio.serialize_xml_repo(shifted), encoding="utf-8")
+        path.write_text("3 5 4\n4 5:1.0\n1,2 1:0.5 3:2.0\n3 2:1.0 4:1.5\n", encoding="utf-8")
         cfg = tmp_path / "t.cfg"
         cfg.write_text("one-based=true\nepochs=1\nhidden=4\n", encoding="utf-8")
         assert run_cli([
@@ -641,8 +640,7 @@ class TestTrainEvalCommands:
     ):
         data_path, _ = write_synth(tmp_path, "test.txt", 4, seed=3)
         ckpt = tmp_path / "m.ckpt"
-        rng = np.random.default_rng(1)
-        tr.save_checkpoint(tr.MlpModel([rng.standard_normal((100, 20))], [np.zeros(20)], "fc"), ckpt)
+        tr.save_checkpoint(tr.init_model(100, (8,), 20, "fc", seed=1), ckpt)
         inflate_layer_sizes(ckpt, sizes)
         out = tmp_path / "report.json"
         assert run_cli([
@@ -788,6 +786,10 @@ class TestTrainEvalCommands:
         ckpt, out = tmp_path / "m.ckpt", tmp_path / "report.json"
         model = tr.init_model(100, (8,), 32 if head == "hrr" else 20, head, seed=1)
         tr.save_checkpoint(model, ckpt, extra=extra)
+        if extra is None:  # save_checkpoint writes the restated fields; drop them all
+            rewrite_header(ckpt, lambda header: {
+                key: header[key] for key in ("format_version", "head", "layer_sizes")
+            })
         assert run_cli([
             "eval", "--data", str(data_path), "--checkpoint", str(ckpt), "--k", "1",
             "--out", str(out),

@@ -111,6 +111,29 @@ class TestParse:
         ds = parse_text("2 3 2\n0 0:1.5 2:0.5\n1,0 1:2.0\n")
         assert dataio.serialize_xml_repo(ds) == "2 3 2\n0 0:1.5 2:0.5\n0,1 1:2.0\n"
 
+    @pytest.mark.parametrize(
+        "ds, message",
+        [
+            (dataio.SparseDataset(5, 3, [0, 1], [7], [1.0], [0, 1], [2]),
+             "row 0: feature index 7 outside [0, 5)"),
+            (dataio.SparseDataset(5, 3, [0, 1, 2], [0, 1], [1.0, 1.0], [0, 1, 3], [0, 2, 4]),
+             "row 1: label index 4 outside [0, 3)"),
+            (dataio.SparseDataset(5, 3, [0, 1, 3], [0, 1, 2], [1.0, 2.0, np.inf], [0, 0, 0], []),
+             "row 1: non-finite feature value"),
+            # row 0 is unsorted, which the parser accepts; row 1 repeats index 1
+            (dataio.SparseDataset(5, 3, [0, 2, 5], [3, 1, 1, 4, 1], [1.0] * 5, [0, 1, 2], [0, 1]),
+             "row 1: duplicate feature index"),
+            (dataio.SparseDataset(0, 3, [0], [], [], [0], []), "non-positive header sizes 0 0 3"),
+        ],
+        ids=["feature-index", "label-index", "non-finite", "duplicate", "no-features"],
+    )
+    def test_serializer_refuses_what_the_parser_refuses(self, ds, message):
+        stream = io.StringIO()
+        with pytest.raises(ValueError) as info:
+            dataio.serialize_xml_repo(ds, stream)
+        assert str(info.value) == message
+        assert stream.getvalue() == ""  # refused before the header line
+
 
 def reference_parse(text, one_based=False):
     """Line-by-line parser as it was before block parsing: (n, d, l, examples)."""

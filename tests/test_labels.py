@@ -563,6 +563,16 @@ class TestTopk:
             got = lb.topk(column_blocks(scores, [0, 5, 0, 40, 0]), k)
             np.testing.assert_array_equal(got, stable_topk(scores, k))
 
+    def test_blocks_without_columns_give_no_columns(self):
+        for widths in ([0], [0, 0]):
+            got = lb.topk(column_blocks(np.zeros((3, 0)), widths), 2)
+            np.testing.assert_array_equal(got, stable_topk(np.zeros((3, 0)), 2))
+            assert (got.shape, got.dtype) == ((3, 0), np.int64)
+
+    def test_no_block_raises(self):
+        with pytest.raises(ValueError, match="at least one block"):
+            lb.topk(iter([]), 5)
+
     def test_uneven_and_narrow_blocks(self):
         rng = np.random.default_rng(3)
         scores = rng.integers(0, 2, size=(17, 203)).astype(np.float64)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import reference_backward as ref
+from test_cli import inflate_layer_sizes, rewrite_header
 from hrrkit import core
 from hrrkit import data as dataio
 from hrrkit import labels as lb
@@ -515,7 +516,7 @@ class TestTraining:
             config = tr.TrainConfig(epochs=epochs, weight_decay=1e-4, dropout=dropout, seed=6)
             model, stats = tr.train(model, ds, config, space=space)
             path = tmp_path / f"{head}-{len(blobs)}.ckpt"
-            tr.save_checkpoint(model, path)
+            tr.save_checkpoint(model, path, space=space)
             blobs.append(path.read_bytes())
             if len(blobs) == 1:
                 assert p_at_1(model, test, space) >= 0.8
@@ -716,7 +717,7 @@ class TestTwoCoreStep:
             model, stats = tr.train(model, ds, config, space=space, val_dataset=val)
             assert (threading.main_thread() not in ran_on) == worker
             path = tmp_path / f"{len(runs)}.ckpt"
-            tr.save_checkpoint(model, path)
+            tr.save_checkpoint(model, path, space=space)
             report = metrics.metric_report(tr.predict_rankings(model, val, space, k=3), val)
             untimed = [
                 {k: v for k, v in dataclasses.asdict(s).items() if k not in TIMINGS} for s in stats
@@ -1094,6 +1095,59 @@ class TestCheckpoint:
         assert loaded.layer_sizes == model.layer_sizes
         assert model_params_bytes(loaded) == model_params_bytes(model)
 
+    @pytest.mark.parametrize(
+        "head, width, extra, space, fault",
+        [
+            ("hrr", 8, None, None, "n_labels must be an integer >= 1, got None"),
+            ("hrr", 8, {"d_prime": 8, "label_seed": 1}, None,
+             "n_labels must be an integer >= 1, got None"),
+            ("hrr", 8, {"n_labels": "9", "label_seed": 1}, None,
+             "n_labels must be an integer >= 1, got '9'"),
+            ("hrr", 8, {"n_labels": True, "label_seed": 1}, None,
+             "n_labels must be an integer >= 1, got True"),
+            ("hrr", 8, {"n_labels": 0, "label_seed": 1}, None,
+             "n_labels must be an integer >= 1, got 0"),
+            ("hrr", 8, {"n_labels": 9}, None, "label_seed must be an integer, got None"),
+            ("hrr", 8, {"n_labels": 9, "label_seed": 1.5}, None,
+             "label_seed must be an integer, got 1.5"),
+            ("hrr", 1, {"n_labels": 9, "label_seed": 1}, None,
+             "d_prime must be an integer >= 2, got 1"),
+            ("hrr", 8, None, (9, 16, 1),
+             "d_prime must be 8 to match head 'hrr' and layer_sizes [10, 4, 8], got 16"),
+            ("fc", 9, None, (9, 8, 1),
+             "d_prime must be None to match head 'fc' and layer_sizes [10, 4, 9], got 8"),
+            ("fc", 9, {"train_seed": 1.5}, None, "train_seed must be an integer, got 1.5"),
+            ("hrr", 8, {"train_seed": "1"}, (9, 8, 1), "train_seed must be an integer, got '1'"),
+        ],
+        ids=["hrr-no-label-fields", "n_labels-missing", "n_labels-str", "n_labels-bool",
+             "n_labels-0", "label_seed-missing", "label_seed-float", "d_prime-1",
+             "space-dim-not-width", "fc-with-space", "train_seed-float", "train_seed-str"],
+    )
+    def test_save_refuses_what_load_refuses_and_writes_nothing(
+        self, tmp_path, head, width, extra, space, fault
+    ):
+        path = tmp_path / "model.ckpt"
+        space = lb.make_label_space(*space) if space else None
+        with pytest.raises(ValueError) as info:
+            tr.save_checkpoint(tr.init_model(10, (4,), width, head, seed=1), path, extra, space)
+        assert str(info.value) == f"checkpoint {path}: {fault}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_extra_cannot_override_what_the_model_or_space_fixes(self, tmp_path):
+        model = tr.init_model(10, (4,), 8, "hrr", seed=1)
+        fixed = {"format_version": 2, "head": "fc", "layer_sizes": [1], "n_features": 3,
+                 "hidden": [], "n_labels": 5, "d_prime": 7, "label_seed": 6}
+        headers = []
+        for name, extra in (("plain", None), ("extra", {**fixed, "train_seed": 4})):
+            path = tmp_path / f"{name}.ckpt"
+            tr.save_checkpoint(model, path, extra, space=lb.make_label_space(9, 8, 1))
+            blob = path.read_bytes()
+            headers.append(json.loads(blob[12 : 12 + int.from_bytes(blob[8:12], "little")]))
+        assert headers[0] == {"format_version": 1, "head": "hrr", "layer_sizes": [10, 4, 8],
+                              "n_features": 10, "hidden": [4], "n_labels": 9, "d_prime": 8,
+                              "label_seed": 1}
+        assert headers[1] == {**headers[0], "train_seed": 4}
+
     def test_same_seed_checkpoints_are_byte_identical(self, tmp_path):
         ds = planted(128, seed=19)
         blobs = []
@@ -1166,16 +1220,12 @@ class TestCheckpoint:
     def test_fewer_than_three_layer_sizes_raise(self, tmp_path):
         # a one-layer model (two sizes, a whole payload) and a header of one size
         linear = tmp_path / "linear.ckpt"
-        rng = np.random.default_rng(0)
-        tr.save_checkpoint(tr.MlpModel([rng.standard_normal((12, 4))], [np.zeros(4)], "fc"), linear)
+        tr.save_checkpoint(tr.init_model(12, (4,), 4, "fc", seed=1), linear)
+        inflate_layer_sizes(linear, [12, 4])
+        linear.write_bytes(linear.read_bytes()[: -8 * (4 * 4 + 4)])  # drop the second layer
         empty = tmp_path / "empty.ckpt"
         tr.save_checkpoint(tr.init_model(12, (6,), 4, "fc", seed=2), empty)
-        blob = empty.read_bytes()
-        hlen = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12 : 12 + hlen])
-        header["layer_sizes"] = [6]
-        text = json.dumps(header).encode()
-        empty.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen :])
+        inflate_layer_sizes(empty, [6])
         for path, count in ((linear, 2), (empty, 1)):
             with pytest.raises(ValueError) as info:
                 tr.load_checkpoint(path)
@@ -1193,7 +1243,8 @@ class TestCheckpoint:
 
     def test_unsupported_format_version_names_the_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        tr.save_checkpoint(tr.init_model(12, (6,), 4, "fc", seed=2), path, {"format_version": 2})
+        tr.save_checkpoint(tr.init_model(12, (6,), 4, "fc", seed=2), path)
+        rewrite_header(path, lambda header: {**header, "format_version": 2})
         with pytest.raises(ValueError) as info:
             tr.load_checkpoint(path)
         assert str(info.value) == f"unsupported checkpoint {path}: format version 2"
@@ -1235,12 +1286,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         tr.save_checkpoint(model, path)
         blob = path.read_bytes()
-        hlen = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12 : 12 + hlen])
-        header["layer_sizes"] = [100_000, 100_000, 4]
-        text = json.dumps(header).encode()
-        path.write_bytes(blob[:8] + len(text).to_bytes(4, "little") + text + blob[12 + hlen :])
-        payload = len(blob) - 12 - hlen
+        payload = len(blob) - 12 - int.from_bytes(blob[8:12], "little")
+        inflate_layer_sizes(path, [100_000, 100_000, 4])
         tracemalloc.start()
         try:
             with pytest.raises(ValueError) as info:
