@@ -8,10 +8,11 @@ with 0-based decimal indices. The label field may be empty (line starts
 with a space); such examples are kept for evaluation but carry no loss.
 The serializer emits the same dialect byte-for-byte reproducibly.
 
-Parsing reads the file in blocks of lines, converts and checks each block
-with numpy and builds one CSR array store (SparseDataset) from them. A
-block that fails any check is then checked line by line, only to word the
-error, which names the first bad line and the first fault on it.
+Parsing reads the file in blocks of lines, converts each block with numpy
+and checks it by the rule that the CSR array store (SparseDataset) applies
+at construction: indices inside [0, D) and [0, L), finite values, no
+feature index twice in a row. A failing block is then checked line by
+line, only to word the error: the first bad line and its first fault.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class DatasetFormatError(ValueError):
 SparseExample = collections.namedtuple("SparseExample", "feat_idx feat_val labels")  # a row's views
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SparseDataset:
     """Multi-label examples in one CSR array store.
 
@@ -51,6 +52,10 @@ class SparseDataset:
     ascending) with values (float64) at the same positions; its labels are
     labels[label_indptr[i]:label_indptr[i + 1]] (int64, sorted unique).
     take(rows) gathers a sub-dataset; examples builds row views on access.
+
+    The constructor refuses sizes below 1 and the first row parse_xml_repo
+    would refuse once written, in the parser's words ("row 1: duplicate
+    feature index"). The fields are frozen, so none is reassigned past it.
     """
 
     n_features: int
@@ -64,7 +69,7 @@ class SparseDataset:
     def __post_init__(self):
         for name in ("indptr", "indices", "values", "label_indptr", "labels"):
             dtype = np.float64 if name == "values" else np.int64
-            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         for what, ptr, size in (
             ("indices", self.indptr, self.indices.size),
             ("values", self.indptr, self.values.size),
@@ -75,6 +80,15 @@ class SparseDataset:
         rows = (self.indptr.size - 1, self.label_indptr.size - 1)
         if rows[0] != rows[1]:
             raise ValueError(f"{rows[0]} feature rows, {rows[1]} label rows")
+        d, l = self.n_features, self.n_labels
+        if d < 1 or l < 1:
+            raise ValueError(f"non-positive header sizes {rows[0]} {d} {l}")
+        arrays = self.indptr, self.indices, self.values, self.label_indptr, self.labels
+        if (row := _first_refused_row(d, l, *arrays)) is not None:
+            try:
+                _check_line(next(_lines(self, row)), row + 2, d, l, 0)
+            except DatasetFormatError as err:  # "line N: fault"
+                raise ValueError(f"row {row}: {str(err).partition(': ')[2]}") from None
 
     @property
     def n_examples(self):
@@ -160,7 +174,7 @@ def _check_line(line, line_no, d, l, shift):
 
 def _ascending_within(values, counts):
     # True when values rise strictly inside each consecutive run of counts.
-    rises = np.diff(values) > 0
+    rises = values[1:] > values[:-1]
     starts = np.cumsum(counts)[:-1]
     rises[starts[(starts > 0) & (starts < values.size)] - 1] = True
     return bool(rises.all())
@@ -201,12 +215,6 @@ def _parse_block(lines, d, l, shift):
         val = np.fromiter(map(float, pieces[1::2]), np.float64, len(tokens))
     except (ValueError, OverflowError):
         return None
-    if not (
-        np.all((labels >= 0) & (labels < l))
-        and np.all((idx >= 0) & (idx < d))
-        and np.all(np.isfinite(val))
-    ):
-        return None
     if not _ascending_within(labels, n_labels):
         order, line = _line_sort(labels, n_labels)
         labels = labels[order]
@@ -216,8 +224,9 @@ def _parse_block(lines, d, l, shift):
     if not _ascending_within(idx, n_feats):
         order, _ = _line_sort(idx, n_feats)
         idx, val = idx[order], val[order]
-        if not _ascending_within(idx, n_feats):
-            return None
+    indptr, label_indptr = (np.cumsum(np.append(0, c)) for c in (n_feats, n_labels))
+    if _first_refused_row(d, l, indptr, idx, val, label_indptr, labels) is not None:
+        return None
     return n_feats, idx, val, n_labels, labels
 
 
@@ -275,51 +284,40 @@ def parse_xml_repo(source, one_based=False):
     return SparseDataset(d, l, *columns)
 
 
-def _first_refused_row(ds):
-    """The first row that parse_xml_repo would refuse once written, or None."""
-    counts = np.diff(ds.indptr)
-    found = [
-        np.searchsorted(ptr, np.flatnonzero(bad)[:1], side="right") - 1
-        for ptr, bad in (
-            (ds.label_indptr, (ds.labels < 0) | (ds.labels >= ds.n_labels)),
-            (ds.indptr, (ds.indices < 0) | (ds.indices >= ds.n_features) | ~np.isfinite(ds.values)),
-        )
+def _first_refused_row(d, l, indptr, indices, values, label_indptr, labels):
+    """The first row of these SparseDataset arrays that parse_xml_repo would
+    refuse once written, or None. Checking a store whose rows all ascend
+    makes no temporary wider than one byte per entry."""
+    ok_feats = indices >= 0  # in place: the features are most of the store
+    ok_feats &= indices < d
+    ok_feats &= np.isfinite(values)
+    rows = [
+        int(np.searchsorted(ptr, np.argmin(ok), side="right")) - 1
+        for ptr, ok in ((label_indptr, (labels >= 0) & (labels < l)), (indptr, ok_feats))
+        if not ok.all()
     ]
-    if not _ascending_within(ds.indices, counts):  # only an unsorted row can repeat an index
-        order, line = _line_sort(ds.indices, counts)
-        found.append(line[1:][(np.diff(ds.indices[order]) == 0) & (np.diff(line) == 0)][:1])
-    rows = np.concatenate(found)
-    return int(rows.min()) if rows.size else None
+    counts = np.diff(indptr)
+    if not _ascending_within(indices, counts):  # a row that does not rise may repeat an index
+        order, line = _line_sort(indices, counts)
+        rows += line[1:][(np.diff(indices[order]) == 0) & (np.diff(line) == 0)][:1].tolist()
+    return min(rows, default=None)
 
 
-def _lines(ds):
+def _lines(ds, start=0):
     # 128 rows' tokens at a time keep memory flat
-    for lo in range(0, ds.n_examples, 128):
-        rows = ds.take(slice(lo, lo + 128))
-        labels = list(map(str, rows.labels.tolist()))
-        feats = [f"{i}:{v!r}" for i, v in zip(rows.indices.tolist(), rows.values.tolist())]
-        f, l = rows.indptr.tolist(), rows.label_indptr.tolist()
+    for lo in range(start, ds.n_examples, 128):
+        f, l = ds.indptr[lo : lo + 129], ds.label_indptr[lo : lo + 129]
+        labels = list(map(str, ds.labels[l[0] : l[-1]].tolist()))
+        idx, val = ds.indices[f[0] : f[-1]].tolist(), ds.values[f[0] : f[-1]].tolist()
+        feats = [f"{i}:{v!r}" for i, v in zip(idx, val)]
+        f, l = (f - f[0]).tolist(), (l - l[0]).tolist()
         for f0, f1, l0, l1 in zip(f, f[1:], l, l[1:]):
             yield (",".join(labels[l0:l1]) + " " + " ".join(feats[f0:f1])).rstrip() + "\n"
 
 
 def serialize_xml_repo(ds, stream=None):
-    """Write the dataset in the exact dialect parse_xml_repo accepts.
-
-    A dataset the parser would refuse once written raises ValueError
-    before anything is written, naming the first such row and its first
-    fault in the parser's words.
-    """
-    if ds.n_features < 1 or ds.n_labels < 1:
-        raise ValueError(
-            f"non-positive header sizes {ds.n_examples} {ds.n_features} {ds.n_labels}"
-        )
-    row = _first_refused_row(ds)
-    if row is not None:
-        try:
-            _check_line(next(_lines(ds.take([row]))), row + 2, ds.n_features, ds.n_labels, 0)
-        except DatasetFormatError as err:  # "line N: fault"
-            raise ValueError(f"row {row}: {str(err).partition(': ')[2]}") from None
+    """Write the dataset in the exact dialect parse_xml_repo accepts; the
+    store's constructor has refused every row the parser would refuse."""
     own = stream is None
     if own:
         stream = io.StringIO()
@@ -330,9 +328,6 @@ def serialize_xml_repo(ds, stream=None):
 
 def compute_propensities(ds):
     """Per-label relative frequency count_l / N, floored at 1/N for unseen labels."""
-    bad = ds.labels[(ds.labels < 0) | (ds.labels >= ds.n_labels)]
-    if bad.size:
-        raise IndexError(f"label {bad[0]} out of range [0, {ds.n_labels})")
     # a label set is unique, so each example adds one to each of its labels
     return np.maximum(np.bincount(ds.labels, minlength=ds.n_labels), 1.0) / max(ds.n_examples, 1)
 

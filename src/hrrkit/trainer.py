@@ -82,8 +82,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0.0), ("weight_decay", 0.0)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(low) is int and type(value) is not int:  # counts: no float, no bool
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not value >= low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -410,14 +413,17 @@ class _Adam:
 def check_dataset(model, dataset, space=None, name="dataset"):
     """Raise ValueError, naming both counts, unless the dataset fits the model.
 
-    Features must match the model's inputs; labels its outputs (fc) or the
-    classes of a LabelSpace of the output's dimension (hrr).
+    Features must match the model's inputs; labels its outputs (fc, which
+    takes no LabelSpace) or the classes of a LabelSpace of the output's
+    dimension (hrr).
     """
     if model.head == "hrr":
         if space is None:
             raise ValueError("the hrr head requires a LabelSpace")
         if space.dim != model.out_dim:
             raise ValueError(f"label space dim {space.dim} != model output {model.out_dim}")
+    elif space is not None:
+        raise ValueError("the fc head takes no LabelSpace")
     if dataset.n_features != model.layer_sizes[0]:
         raise ValueError(
             f"{name} has {dataset.n_features} features, model input has {model.layer_sizes[0]}"

@@ -1,5 +1,6 @@
 """Tests for sparse dataset parsing, serialization, and synthesis."""
 
+import dataclasses
 import io
 import os
 
@@ -110,29 +111,6 @@ class TestParse:
     def test_serialized_dialect_is_exact(self):
         ds = parse_text("2 3 2\n0 0:1.5 2:0.5\n1,0 1:2.0\n")
         assert dataio.serialize_xml_repo(ds) == "2 3 2\n0 0:1.5 2:0.5\n0,1 1:2.0\n"
-
-    @pytest.mark.parametrize(
-        "ds, message",
-        [
-            (dataio.SparseDataset(5, 3, [0, 1], [7], [1.0], [0, 1], [2]),
-             "row 0: feature index 7 outside [0, 5)"),
-            (dataio.SparseDataset(5, 3, [0, 1, 2], [0, 1], [1.0, 1.0], [0, 1, 3], [0, 2, 4]),
-             "row 1: label index 4 outside [0, 3)"),
-            (dataio.SparseDataset(5, 3, [0, 1, 3], [0, 1, 2], [1.0, 2.0, np.inf], [0, 0, 0], []),
-             "row 1: non-finite feature value"),
-            # row 0 is unsorted, which the parser accepts; row 1 repeats index 1
-            (dataio.SparseDataset(5, 3, [0, 2, 5], [3, 1, 1, 4, 1], [1.0] * 5, [0, 1, 2], [0, 1]),
-             "row 1: duplicate feature index"),
-            (dataio.SparseDataset(0, 3, [0], [], [], [0], []), "non-positive header sizes 0 0 3"),
-        ],
-        ids=["feature-index", "label-index", "non-finite", "duplicate", "no-features"],
-    )
-    def test_serializer_refuses_what_the_parser_refuses(self, ds, message):
-        stream = io.StringIO()
-        with pytest.raises(ValueError) as info:
-            dataio.serialize_xml_repo(ds, stream)
-        assert str(info.value) == message
-        assert stream.getvalue() == ""  # refused before the header line
 
 
 def reference_parse(text, one_based=False):
@@ -447,6 +425,74 @@ class TestStore:
         with pytest.raises(ValueError, match="pointers into values must run from 0 to 2"):
             dataio.SparseDataset(6, 4, [0, 3], [0, 1, 2], [1.0, 2.0], [0, 0], [])
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((5, 3, [0, 1], [7], [1.0], [0, 1], [2]), "row 0: feature index 7 outside [0, 5)"),
+            ((5, 3, [0, 1], [-1], [1.0], [0, 1], [2]), "row 0: feature index -1 outside [0, 5)"),
+            ((5, 3, [0, 1, 2], [0, 1], [1.0, 1.0], [0, 1, 3], [0, 2, 4]),
+             "row 1: label index 4 outside [0, 3)"),
+            ((5, 3, [0, 1], [0], [1.0], [0, 1], [-1]), "row 0: label index -1 outside [0, 3)"),
+            ((5, 3, [0, 1, 3], [0, 1, 2], [1.0, 2.0, np.inf], [0, 0, 0], []),
+             "row 1: non-finite feature value"),
+            # row 0 is unsorted, which the parser accepts; row 1 repeats index 1
+            ((5, 3, [0, 2, 5], [3, 1, 1, 4, 1], [1.0] * 5, [0, 1, 2], [0, 1]),
+             "row 1: duplicate feature index"),
+            ((0, 3, [0], [], [], [0], []), "non-positive header sizes 0 0 3"),
+            ((5, 0, [0], [], [], [0], []), "non-positive header sizes 0 5 0"),
+        ],
+        ids=["feature-index", "feature-index-negative", "label-index", "label-index-negative",
+             "non-finite", "duplicate", "no-features", "no-labels"],
+    )
+    def test_constructor_refuses_what_the_parser_refuses(self, args, message):
+        with pytest.raises(ValueError) as info:
+            dataio.SparseDataset(*args)
+        assert str(info.value) == message
+
+    def test_constructor_refuses_exactly_the_rows_the_parser_refuses(self):
+        rng = np.random.default_rng(29)
+        d, l = 6, 4
+        odd = lambda p: rng.random() < p
+        refused = 0
+        for _ in range(1500):
+            rows = []
+            for _ in range(rng.integers(1, 6)):
+                labels = [
+                    int(rng.choice([-1, l, -(2**63), 2**63 - 1])) if odd(0.03)
+                    else int(rng.integers(l))
+                    for _ in range(rng.integers(4))
+                ]  # repeated labels are drawn too, which the parser accepts
+                idx = rng.choice(d, size=rng.integers(5), replace=False)
+                idx = np.sort(idx) if odd(0.5) else idx
+                idx = [int(rng.choice([-1, d, -(2**63), 2**63 - 1])) if odd(0.03) else int(i)
+                       for i in idx]
+                if idx and odd(0.06):  # repeat one, next to it or elsewhere in the row
+                    idx.insert(int(rng.integers(len(idx) + 1)), idx[rng.integers(len(idx))])
+                vals = [float(rng.choice([np.nan, np.inf, -np.inf])) if odd(0.03)
+                        else float(rng.standard_normal()) for _ in idx]
+                rows.append((idx, vals, labels))
+            text = f"{len(rows)} {d} {l}\n" + "".join(
+                ",".join(map(str, labels)) + " " + " ".join(f"{i}:{v!r}" for i, v in zip(idx, vals))
+                + "\n"
+                for idx, vals, labels in rows
+            )
+            ptr = lambda k: np.cumsum([0] + [len(row[k]) for row in rows])
+            flat = lambda k: [x for row in rows for x in row[k]]
+            try:
+                reference_parse(text)
+                want = None
+            except dataio.DatasetFormatError as err:
+                line, _, fault = str(err).partition(": ")
+                want = f"row {int(line.split()[1]) - 2}: {fault}"
+            try:
+                dataio.SparseDataset(d, l, ptr(0), flat(0), flat(1), ptr(2), flat(2))
+                got = None
+            except ValueError as err:
+                got = str(err)
+            assert got == want, text
+            refused += want is not None
+        assert 300 < refused < 1200
+
 
 class TestPropensities:
     def test_ubiquitous_label_has_unit_propensity(self):
@@ -486,11 +532,10 @@ class TestPropensities:
         np.testing.assert_array_equal(dataio.compute_propensities(ds), [1.0, 1.0, 1.0])
         np.testing.assert_array_equal(dataio.compute_propensities(ds), self.loop_propensities(ds))
 
-    def test_out_of_range_label_raises(self):
+    def test_label_count_cannot_be_reassigned_past_the_check(self):
         ds = parse_text("2 2 2\n0 0:1.0\n1 1:1.0\n")
-        ds.n_labels = 1
-        with pytest.raises(IndexError, match=r"label 1 out of range \[0, 1\)"):
-            dataio.compute_propensities(ds)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.n_labels = 1
 
     def test_propensity_sum_equals_average_labels_per_point(self):
         ds = dataio.synth_generate(500, 40, 10, labels_per_point=3, seed=2)

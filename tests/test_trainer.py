@@ -81,7 +81,7 @@ def p_at_1(model, ds, space=None):
 
 def forward_one(model, feat_idx, feat_val):
     """Output vector of the sparse forward pass for one example."""
-    batch = dataset_of(model.weights[0].shape[0], 0, [(feat_idx, feat_val, [])])
+    batch = dataset_of(model.weights[0].shape[0], 1, [(feat_idx, feat_val, [])])
     return tr._forward_sparse(model, batch)[0][0]
 
 
@@ -556,12 +556,12 @@ class TestTraining:
         poisoned = dataset_of(
             ds.n_features, ds.n_labels,
             (
-                (ex.feat_idx, np.where(ex.feat_val > 0, np.inf, 0.0), ex.labels)
+                (ex.feat_idx, np.where(ex.feat_val > 0, 1e308, 0.0), ex.labels)
                 for ex in ds.examples
             ),
         )
         model = tr.init_model(100, (8,), 20, "fc", seed=9)
-        with np.errstate(invalid="ignore"), pytest.raises(tr.TrainingDivergedError):
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(tr.TrainingDivergedError):
             tr.train(model, poisoned, tr.TrainConfig(epochs=1, seed=9))
 
     @pytest.mark.parametrize("n_classes", [10, 30])
@@ -605,6 +605,31 @@ class TestTraining:
         model = tr.init_model(100, (8,), 32, "hrr", seed=43)
         with pytest.raises(ValueError) as info:
             tr.check_dataset(model, planted(4, seed=43), space)
+        assert str(info.value) == message
+
+    def test_fc_training_refuses_a_label_space(self):
+        model = tr.init_model(40, (16,), 8, "fc", seed=1)
+        ds = dataio.synth_generate(32, 40, 8, labels_per_point=1, seed=1)
+        before = model_params_bytes(model)
+        with pytest.raises(ValueError) as info:
+            tr.train(model, ds, tr.TrainConfig(epochs=1, seed=1), space=lb.make_label_space(8, 16, 1))
+        assert str(info.value) == "the fc head takes no LabelSpace"
+        assert model_params_bytes(model) == before
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"epochs": 1.0}, "epochs must be an integer, got 1.0"),
+            ({"epochs": True}, "epochs must be an integer, got True"),
+            ({"epochs": 1, "batch_size": 16.0}, "batch_size must be an integer, got 16.0"),
+            ({"epochs": 1, "batch_size": True}, "batch_size must be an integer, got True"),
+            ({"epochs": -1}, "epochs must be >= 0, got -1"),
+            ({"epochs": 1, "batch_size": 0}, "batch_size must be >= 1, got 0"),
+        ],
+    )
+    def test_config_counts_must_be_integers_in_range(self, fields, message):
+        with pytest.raises(ValueError) as info:
+            tr.TrainConfig(**fields)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("head", ["fc", "hrr"])
@@ -980,11 +1005,16 @@ class TestPredictRankings:
         # repeat columns 0-149 bit for bit, so every row's scores come in
         # exact ties, also at its k-th place; column 300 is NaN in every row.
         # Row 256 repeats row 255, one on each side of the first chunk edge,
-        # and row 300 has a NaN feature value, so all its logits are NaN.
-        base = planted(600, seed=39)
-        ds = base.take(np.r_[0:256, 255, 257:600])
-        ds.values[ds.indptr[300]] = np.nan
-        model = tr.init_model(100, (8,), 301, "fc", seed=39)
+        # and row 300 alone has feature 100, whose weights are NaN, so all
+        # its logits are NaN.
+        base = planted(600, seed=39).take(np.r_[0:256, 255, 257:600])
+        ds = dataset_of(101, base.n_labels, (
+            (np.append(ex.feat_idx, 100) if row == 300 else ex.feat_idx,
+             np.append(ex.feat_val, 1.0) if row == 300 else ex.feat_val, ex.labels)
+            for row, ex in enumerate(base.examples)
+        ))
+        model = tr.init_model(101, (8,), 301, "fc", seed=39)
+        model.weights[0][100] = np.nan
         model.weights[-1][:, 150:300] = model.weights[-1][:, :150]
         model.biases[-1][:] = np.linspace(-1.0, 1.0, 301)
         model.biases[-1][150:300] = model.biases[-1][:150]
