@@ -53,9 +53,12 @@ class SparseDataset:
     labels[label_indptr[i]:label_indptr[i + 1]] (int64, sorted unique).
     take(rows) gathers a sub-dataset; examples builds row views on access.
 
-    The constructor refuses sizes below 1 and the first row parse_xml_repo
-    would refuse once written, in the parser's words ("row 1: duplicate
-    feature index"). The fields are frozen, so none is reassigned past it.
+    The constructor refuses sizes that are not integers (bool included) or
+    below 1, and the first row parse_xml_repo would refuse once written, in
+    the parser's words ("row 1: duplicate feature index"), or that repeats
+    a label ("row 0: duplicate label index"; the parser makes labels
+    unique, so that row would read back as another). The fields are
+    frozen, so none is reassigned past it.
     """
 
     n_features: int
@@ -81,10 +84,18 @@ class SparseDataset:
         if rows[0] != rows[1]:
             raise ValueError(f"{rows[0]} feature rows, {rows[1]} label rows")
         d, l = self.n_features, self.n_labels
+        for name, size in (("n_features", d), ("n_labels", l)):
+            if isinstance(size, bool) or not isinstance(size, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
         if d < 1 or l < 1:
             raise ValueError(f"non-positive header sizes {rows[0]} {d} {l}")
         arrays = self.indptr, self.indices, self.values, self.label_indptr, self.labels
-        if (row := _first_refused_row(d, l, *arrays)) is not None:
+        row = _first_refused_row(d, l, *arrays)
+        # the parser makes a row's labels unique, so it refuses no repeat
+        repeat = _first_repeat(self.labels, self.label_indptr)
+        if repeat is not None and (row is None or repeat < row):
+            raise ValueError(f"row {repeat}: duplicate label index")
+        if row is not None:
             try:
                 _check_line(next(_lines(self, row)), row + 2, d, l, 0)
             except DatasetFormatError as err:  # "line N: fault"
@@ -296,11 +307,19 @@ def _first_refused_row(d, l, indptr, indices, values, label_indptr, labels):
         for ptr, ok in ((label_indptr, (labels >= 0) & (labels < l)), (indptr, ok_feats))
         if not ok.all()
     ]
-    counts = np.diff(indptr)
-    if not _ascending_within(indices, counts):  # a row that does not rise may repeat an index
-        order, line = _line_sort(indices, counts)
-        rows += line[1:][(np.diff(indices[order]) == 0) & (np.diff(line) == 0)][:1].tolist()
+    if (repeat := _first_repeat(indices, indptr)) is not None:
+        rows.append(repeat)
     return min(rows, default=None)
+
+
+def _first_repeat(values, ptr):
+    """The first row of CSR values that holds one value twice, or None."""
+    counts = np.diff(ptr)
+    if _ascending_within(values, counts):  # only a row that does not rise may repeat one
+        return None
+    order, line = _line_sort(values, counts)
+    rows = line[1:][(np.diff(values[order]) == 0) & (np.diff(line) == 0)]
+    return int(rows[0]) if rows.size else None
 
 
 def _lines(ds, start=0):

@@ -14,14 +14,16 @@ Each generator is bit for bit the one `np.random.Generator(np.random.PCG64(
 mix64(seed, i)))` makes.
 
 Because no stream depends on when it is drawn, independent draws may run on
-another core: `run_ahead` makes the next item of a sequence on a worker
+another core: `run_ahead` makes the next items of a sequence on a worker
 thread while the caller uses (or makes) the current one, and yields the
 items in order.
 """
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
+import itertools
 import os
 import sys
 
@@ -138,37 +140,49 @@ def pcg64_generators(seeds):
         yield np.random.Generator(np.random.PCG64(_StateWords(words)))
 
 
-def run_ahead(make, items, alternate=False):
-    """Yield make(item) for each item of the sized sequence items, in order.
+def run_ahead(make, items, alternate=False, lead=1):
+    """Make make(item) for each item of the sized sequence items; yield them in order.
 
-    One worker thread makes item i + 1 while the caller's thread uses item
-    i. With `alternate` the caller's thread makes every other item itself
-    instead (items 0, 2, 4, ...), each while the worker makes the item
-    after it. Either way at most two items are in the making or in use at
-    once. With one item, with one usable CPU, or in a process started by
-    multiprocessing (a pool's worker, whose siblings hold the other CPUs),
-    every item is made on the caller's thread when it is asked for. The
-    results are the same either way as long as make(item) does not depend
-    on the thread or the time it runs. An error in make is raised where its
-    item is taken, so the first failing item in order is the one raised; an
-    error of the item after it, which a serial loop would never have made,
-    is dropped. Closing the iterator early waits for the item in flight and
-    stops the worker.
+    With two or more items and two or more usable CPUs, outside a process
+    started by multiprocessing (a pool's worker, whose siblings hold the
+    other CPUs), one worker thread starts when run_ahead is called and
+    makes the first `lead` items before the first is asked for; each item
+    the caller takes hands the worker the next. So while the caller uses
+    item i, the worker has items i + 1 to i + lead in the making or ready.
+    With `alternate` the caller's thread makes every other item itself
+    instead (items 0, 2, 4, ...), and the worker keeps `lead` of the odd
+    items ahead. With lead 1, at most two items are in the making or in
+    use at once either way. Otherwise every item is made on the caller's
+    thread when it is asked for. The results are the same either way as
+    long as make(item) does not depend on the thread or the time it runs.
+    An error in make is raised where its item is taken, so the first
+    failing item in order is the one raised; errors of the items after
+    it, which a serial loop would never have made, are dropped. Closing
+    the returned generator, or dropping it, waits for the item in the
+    making, cancels the rest and stops the worker.
     """
     if len(items) < 2 or not _worker_allowed():
-        yield from map(make, items)
-        return
-    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-        submit = lambda i: pool.submit(make, items[i]) if i < len(items) else None
-        ahead = None if alternate else submit(0)  # the worker's item
+        return (make(item) for item in items)
+    made = _made_ahead(make, items, alternate, lead)
+    next(made)  # starts the worker now, not when the first item is asked for
+    return made
+
+
+def _made_ahead(make, items, alternate, lead):
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=1)
+    try:
+        worker = iter(range(1 if alternate else 0, len(items), 2 if alternate else 1))
+        ahead = collections.deque(pool.submit(make, items[i]) for i in itertools.islice(worker, lead))
+        yield
         for i, item in enumerate(items):
-            if ahead is None:
-                ahead = submit(i + 1)
-                done = make(item)
-            else:
-                done = ahead.result()
-                ahead = None if alternate else submit(i + 1)
+            if alternate and i % 2 == 0:
+                yield make(item)
+                continue
+            done = ahead.popleft().result()
+            ahead.extend(pool.submit(make, items[j]) for j in itertools.islice(worker, 1))
             yield done
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _worker_allowed():

@@ -28,6 +28,7 @@ import time
 
 import numpy as np
 
+from . import core
 from . import labels as labelcodec
 from . import metrics
 from .seeds import _worker_allowed, mix64
@@ -81,11 +82,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("epochs", 0), ("batch_size", 1), ("lr", 0.0), ("weight_decay", 0.0)):
+        checks = ("epochs", 0), ("batch_size", 1), ("seed", None), ("lr", 0.0), ("weight_decay", 0.0)
+        for name, low in checks:
             value = getattr(self, name)
-            if type(low) is int and type(value) is not int:  # counts: no float, no bool
+            if type(low) is float:  # rates: finite numbers, no bool
+                number = isinstance(value, (int, float, np.floating)) and not isinstance(value, bool)
+                if not (number and math.isfinite(value)):
+                    raise ValueError(f"{name} must be a finite number, got {value!r}")
+            elif type(value) is not int:  # counts and the seed: no float, no bool
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not value >= low:
+            if low is not None and not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -523,17 +529,20 @@ def train(model, dataset, config, space=None, val_dataset=None):
 def predict_rankings(model, dataset, space=None, k=5):
     """Top-k label rankings for every example, best score first.
 
-    Ranked by labels.topk, ties toward the lower index, with no (examples x
-    classes) matrix: the fc head ranks each 256-row forward chunk's logits
-    before the next chunk's are made, the hrr head all outputs in one pass
-    over the class blocks. An empty dataset is one empty chunk.
+    Ties go toward the lower index, and there is no (examples x classes)
+    matrix. The fc head ranks each 256-row forward chunk's logits by
+    labels.topk before the next chunk's are made. The hrr head ranks all
+    outputs in one pass over the class blocks by labels.screened_topk; the
+    class producer starts before the forward pass, so the blocks are
+    regenerated beside it. An empty dataset is one empty chunk.
     """
     chunks = (dataset.take(slice(lo, lo + 256)) for lo in range(0, max(dataset.n_examples, 1), 256))
     if model.head == "fc":
         ranks = [labelcodec.topk([(0, _forward_sparse(model, chunk)[0])], k) for chunk in chunks]
         return np.concatenate(ranks).tolist()
-    out = np.concatenate([_forward_sparse(model, chunk)[0] for chunk in chunks])
-    return labelcodec.topk(labelcodec.score_blocks(space, out), k).tolist()
+    with contextlib.closing(space.iter_class_blocks()) as blocks:
+        queries = core.unbind(np.concatenate([_forward_sparse(model, chunk)[0] for chunk in chunks]), space.p)
+        return labelcodec.screened_topk(queries, blocks, k).tolist()
 
 
 def param_count(model):

@@ -440,14 +440,29 @@ class TestStore:
              "row 1: duplicate feature index"),
             ((0, 3, [0], [], [], [0], []), "non-positive header sizes 0 0 3"),
             ((5, 0, [0], [], [], [0], []), "non-positive header sizes 0 5 0"),
+            # the parser makes labels unique, so a store with a repeat would
+            # write a row that reads back as another
+            ((2, 2, [0, 1], [0], [1.0], [0, 2], [1, 1]), "row 0: duplicate label index"),
+            ((5, 3, [0, 1, 2], [0, 1], [1.0, 1.0], [0, 1, 4], [0, 2, 1, 2]),
+             "row 1: duplicate label index"),
+            ((5.0, 3, [0, 1], [1], [1.0], [0, 1], [2]), "n_features must be an integer, got 5.0"),
+            ((True, 3, [0, 1], [1], [1.0], [0, 1], [2]), "n_features must be an integer, got True"),
+            ((5, 3.0, [0, 1], [1], [1.0], [0, 1], [2]), "n_labels must be an integer, got 3.0"),
+            ((5, "3", [0, 1], [1], [1.0], [0, 1], [2]), "n_labels must be an integer, got '3'"),
         ],
         ids=["feature-index", "feature-index-negative", "label-index", "label-index-negative",
-             "non-finite", "duplicate", "no-features", "no-labels"],
+             "non-finite", "duplicate", "no-features", "no-labels", "duplicate-label",
+             "duplicate-label-unsorted", "float-features", "bool-features", "float-labels",
+             "str-labels"],
     )
     def test_constructor_refuses_what_the_parser_refuses(self, args, message):
         with pytest.raises(ValueError) as info:
             dataio.SparseDataset(*args)
         assert str(info.value) == message
+
+    def test_numpy_integer_sizes_are_accepted_and_written_as_integers(self):
+        ds = dataio.SparseDataset(np.int64(5), np.int32(3), [0, 1], [1], [1.0], [0, 1], [2])
+        assert dataio.serialize_xml_repo(ds) == "1 5 3\n2 1:1.0\n"
 
     def test_constructor_refuses_exactly_the_rows_the_parser_refuses(self):
         rng = np.random.default_rng(29)
@@ -461,7 +476,7 @@ class TestStore:
                     int(rng.choice([-1, l, -(2**63), 2**63 - 1])) if odd(0.03)
                     else int(rng.integers(l))
                     for _ in range(rng.integers(4))
-                ]  # repeated labels are drawn too, which the parser accepts
+                ]  # repeated labels are drawn too: the parser accepts them, the store does not
                 idx = rng.choice(d, size=rng.integers(5), replace=False)
                 idx = np.sort(idx) if odd(0.5) else idx
                 idx = [int(rng.choice([-1, d, -(2**63), 2**63 - 1])) if odd(0.03) else int(i)
@@ -484,6 +499,11 @@ class TestStore:
             except dataio.DatasetFormatError as err:
                 line, _, fault = str(err).partition(": ")
                 want = f"row {int(line.split()[1]) - 2}: {fault}"
+            # the first row with a repeated label is refused unless the parser
+            # refuses that row or an earlier one
+            repeats = [i for i, (_, _, labels) in enumerate(rows) if len(set(labels)) < len(labels)]
+            if repeats and (want is None or repeats[0] < int(want.split()[1][:-1])):
+                want = f"row {repeats[0]}: duplicate label index"
             try:
                 dataio.SparseDataset(d, l, ptr(0), flat(0), flat(1), ptr(2), flat(2))
                 got = None

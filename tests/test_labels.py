@@ -1,8 +1,10 @@
 """Tests for the dense label encoding, query loss, and decoders."""
 
+import gc
 import os
 import sys
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -208,6 +210,49 @@ class TestClassBlockProducer:
         next(blocks)
         assert threading.active_count() == before + 1
         blocks.close()
+
+    def test_the_worker_starts_with_the_iterator_and_keeps_a_fixed_lead(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        made, original = [], lb.LabelSpace.class_vectors
+
+        def recorded(self, indices):
+            made.append(int(np.atleast_1d(indices)[0]))
+            return original(self, indices)
+
+        def settle(count):  # wait for count blocks, then give the worker room to overrun
+            deadline = time.monotonic() + 30
+            while len(made) < count and time.monotonic() < deadline:
+                time.sleep(0.005)
+            time.sleep(0.2)
+
+        monkeypatch.setattr(lb.LabelSpace, "class_vectors", recorded)
+        sp = lb.make_label_space(10 * lb._CLASS_BLOCK, 16, seed=45)
+        before = threading.active_count()
+        blocks = sp.iter_class_blocks()
+        try:
+            assert threading.active_count() == before + 1  # before any block is asked for
+            settle(lb._CLASS_LEAD)
+            assert made == [i * lb._CLASS_BLOCK for i in range(lb._CLASS_LEAD)]
+            assert next(blocks)[0] == 0
+            settle(lb._CLASS_LEAD + 1)
+            assert len(made) == lb._CLASS_LEAD + 1
+        finally:
+            blocks.close()
+        assert threading.active_count() == before
+
+    def test_closing_or_dropping_an_untouched_iterator_stops_the_worker(self, monkeypatch):
+        pin_cpus(monkeypatch, 2)
+        sp = lb.make_label_space(6 * lb._CLASS_BLOCK, 16, seed=46)
+        before = threading.active_count()
+        blocks = sp.iter_class_blocks()
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+        blocks = sp.iter_class_blocks()
+        assert threading.active_count() == before + 1
+        del blocks
+        gc.collect()
+        assert threading.active_count() == before
 
     def test_predict_rankings_equal_the_serial_producer(self, usable_cpus, monkeypatch):
         n_labels, d = 2 * lb._CLASS_BLOCK + 76, 64
@@ -621,3 +666,140 @@ class TestTopk:
             got = lb.decode_topk(sp, s_hat, k)
             assert got == np.argsort(-scores, kind="stable")[:k].tolist()
             assert all(type(i) is int for i in got)
+
+
+def dense_class_topk(space, queries, k):
+    """One stable argsort of every class's float64 score (one n x L
+    product), the reference that screened_topk ranks as."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        scores = queries @ space.class_vectors(np.arange(space.n_classes)).T
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+def near_tied_queries(space, pairs, delta=1e-9):
+    """For each class pair (a, b), the queries c_a + (1 + delta) c_b and
+    (1 + delta) c_a + c_b. a and b then score about delta apart, far below
+    float32's resolution near 1: b ahead in the first row, a in the second.
+    Both rows round to nearly the same float32 query, so a float32 ranking
+    puts the pair in the same order in both."""
+    rows = []
+    for a, b in pairs:
+        ca, cb = space.class_vectors([a, b])
+        rows += [ca + (1 + delta) * cb, (1 + delta) * ca + cb]
+    return np.stack(rows)
+
+
+def pairs_across(rng, first_block, second_block, n=16):
+    """n class pairs, a from one block and b from a later one."""
+    a = rng.choice(first_block * lb._CLASS_BLOCK + np.arange(lb._CLASS_BLOCK), n, replace=False)
+    b = rng.choice(second_block * lb._CLASS_BLOCK + np.arange(lb._CLASS_BLOCK), n, replace=False)
+    return [(int(i), int(j)) for i, j in zip(a, b)]
+
+
+class TestScreenedTopk:
+    def test_near_ties_below_float32_resolution_rank_in_float64_order(self):
+        # a is in the first block and b in the second, so by b's block each
+        # row holds k classes and b has to pass the screen against a's
+        # float64 score: that takes the margin eps
+        sp = lb.make_label_space(2 * lb._CLASS_BLOCK, 256, seed=41)
+        pairs = pairs_across(np.random.default_rng(41), 0, 1)
+        queries = near_tied_queries(sp, pairs)
+        scores = queries @ sp.class_vectors(np.arange(sp.n_classes)).T
+        want = []
+        for row, (a, b) in enumerate(np.repeat(pairs, 2, axis=0)):
+            ahead, behind = (b, a) if row % 2 == 0 else (a, b)
+            gap = scores[row, ahead] - scores[row, behind]
+            assert 0 < gap < 1e-7 * scores[row, ahead]  # below float32's resolution
+            want.append([ahead, behind])
+        for k in (1, 2, 5):
+            got = lb.screened_topk(queries, sp.iter_class_blocks(), k)
+            np.testing.assert_array_equal(got, dense_class_topk(sp, queries, k))
+        assert got[:, :2].tolist() == want
+
+    @pytest.mark.parametrize("k", [lb._CLASS_BLOCK + 88, 2 * lb._CLASS_BLOCK + 1, 3 * lb._CLASS_BLOCK - 40])
+    def test_k_above_one_block_ranks_as_the_dense_argsort(self, k):
+        # rows hold fewer than k classes through the first blocks, and until
+        # they hold k the screen drops nothing against a row's partial list
+        sp = lb.make_label_space(3 * lb._CLASS_BLOCK - 40, 256, seed=42)
+        rng = np.random.default_rng(42)
+        queries = np.vstack([
+            near_tied_queries(sp, pairs_across(rng, 0, 2, n=8)),
+            rng.standard_normal((20, 256)) / 16,
+        ])
+        got = lb.screened_topk(queries, sp.iter_class_blocks(), k)
+        assert got.shape == (len(queries), k)
+        np.testing.assert_array_equal(got, dense_class_topk(sp, queries, k))
+
+    def test_non_finite_huge_and_tiny_rows_rank_as_the_dense_argsort(self):
+        sp = lb.make_label_space(2 * lb._CLASS_BLOCK + 276, 64, seed=43)
+        rng = np.random.default_rng(43)
+        base = rng.standard_normal((16, 64)) / 8
+        queries = np.vstack([
+            base[0] * 1e200,  # float32 overflow; the float64 norm overflows too
+            base[1] * 1e30,  # finite float32 scores, screened with a large margin
+            base[2:8] * 1e-42,  # float32 subnormals: the underflow term
+            base[8] * 1e-200,  # float32 zeros
+            np.r_[np.inf, base[9, 1:]],
+            np.r_[-np.inf, base[10, 1:]],
+            np.r_[np.nan, base[11, 1:]],
+            np.r_[np.inf, -np.inf, base[12, 2:]],  # NaN where the two signs agree
+            np.zeros(64),  # every score ties at zero
+            base[13:],
+            # near ties, 1e-46 apart, that float32 subnormals round by more
+            near_tied_queries(sp, pairs_across(rng, 0, 1), delta=1e-6) * 1e-40,
+        ])
+        for k in (1, 5, lb._CLASS_BLOCK + 100, sp.n_classes):
+            with np.errstate(invalid="ignore"):  # the rescoring meets inf - inf
+                got = lb.screened_topk(queries, sp.iter_class_blocks(), k)
+            np.testing.assert_array_equal(got, dense_class_topk(sp, queries, k))
+        c = sp.class_vectors(np.arange(sp.n_classes))
+        nan = np.flatnonzero(np.sign(c[:, 0]) == np.sign(c[:, 1]))
+        assert 0 < nan.size < sp.n_classes
+        assert got[12, -nan.size :].tolist() == nan.tolist()  # NaN last, by index
+        assert got[13].tolist() == list(range(sp.n_classes))
+
+    def test_a_row_whose_float32_scores_overflow_drops_nothing(self):
+        # q[0] is inf in float32, so class 1, first in float64, scores -inf
+        # there and class 0 +inf: a float32 screen would drop class 1
+        q = np.array([[4e38, 1e30, 0.0, 0.0]])
+        blocks = [(0, np.array([[1e-30, 0.5, 0.0, 0.0]])), (1, np.array([[-1e-30, 1.0, 0.0, 0.0]]))]
+        assert (q @ np.vstack([rows for _, rows in blocks]).T).argmax() == 1
+        assert lb.screened_topk(q, iter(blocks), 1).tolist() == [[1]]
+        assert lb.screened_topk(q, iter(blocks), 2).tolist() == [[1, 0]]
+
+    def test_exact_ties_across_blocks_go_to_the_lower_index(self):
+        rows = np.random.default_rng(47).standard_normal((300, 32))
+        queries = np.vstack([np.random.default_rng(48).standard_normal((5, 32)), rows[:3]])
+        blocks = [(0, rows), (300, rows), (600, rows[:40])]
+        want = np.argsort(-(queries @ np.vstack([r for _, r in blocks]).T), axis=1, kind="stable")
+        for k in (1, 7, 350, 640):
+            got = lb.screened_topk(queries, iter(blocks), k)
+            np.testing.assert_array_equal(got, want[:, :k])
+        assert got[5, :2].tolist() == [0, 300]
+
+    def test_rankings_and_rescored_bits_do_not_depend_on_the_batch(self, monkeypatch):
+        sp = lb.make_label_space(lb._CLASS_BLOCK + 200, 48, seed=49)
+        rng = np.random.default_rng(49)
+        queries = rng.standard_normal((60, 48))
+        want = lb.screened_topk(queries, sp.iter_class_blocks(), 9)
+        for i in (0, 17, 59):
+            np.testing.assert_array_equal(lb.screened_topk(queries[i : i + 1], sp.iter_class_blocks(), 9), want[i : i + 1])
+        rows = sp.class_vectors(np.arange(lb._CLASS_BLOCK))
+        r, c = rng.integers(60, size=500), rng.integers(lb._CLASS_BLOCK, size=500)
+        dots = lb._pair_dots(queries, r, rows, c)
+        np.testing.assert_allclose(dots, np.einsum("ij,ij->i", queries[r], rows[c]), rtol=1e-13, atol=1e-13)
+        monkeypatch.setattr(lb, "_RESCORE_CELLS", 7 * 48)  # gathers of 7 pairs
+        assert np.array_equal(lb._pair_dots(queries, r, rows, c).view(np.int64), dots.view(np.int64))
+        for j in (0, 123, 499):
+            one = lb._pair_dots(queries, r[j : j + 1], rows, c[j : j + 1])
+            assert one.view(np.int64)[0] == dots.view(np.int64)[j]
+
+    def test_no_queries_give_no_rows(self):
+        sp = lb.make_label_space(lb._CLASS_BLOCK + 10, 16, seed=44)
+        for k in (1, 5, lb._CLASS_BLOCK + 10, 10_000):
+            got = lb.screened_topk(np.zeros((0, 16)), sp.iter_class_blocks(), k)
+            assert (got.shape, got.dtype) == ((0, min(k, sp.n_classes)), np.int64)
+
+    def test_k_below_one_raises(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            lb.screened_topk(np.zeros((2, 4)), iter([(0, np.eye(4))]), 0)

@@ -79,6 +79,15 @@ class TestRunAhead:
     def test_at_most_two_items_at_once(self, alternate, monkeypatch):
         # an item is live from the start of its making until the caller is done with it
         monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        assert self.peak_live_items(alternate, 1, range(6), 0.01) <= 2
+
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_a_longer_lead_keeps_at_most_lead_plus_one_items(self, alternate, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        assert self.peak_live_items(alternate, 3, range(10), 0.02) <= 4
+
+    @staticmethod
+    def peak_live_items(alternate, lead, items, use_s):
         lock, live, peak = threading.Lock(), [0], [0]
 
         def make(item):
@@ -88,11 +97,26 @@ class TestRunAhead:
             time.sleep(0.01)
             return item
 
-        for _ in seeds.run_ahead(make, range(6), alternate):
-            time.sleep(0.01)
+        for _ in seeds.run_ahead(make, items, alternate, lead):
+            time.sleep(use_s)
             with lock:
                 live[0] -= 1
-        assert peak[0] <= 2
+        return peak[0]
+
+    @pytest.mark.parametrize("alternate", [False, True])
+    def test_the_worker_starts_at_the_call_and_makes_only_its_lead(self, alternate, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        made = []
+        before = threading.active_count()
+        items = seeds.run_ahead(made.append, range(12), alternate, lead=3)
+        assert threading.active_count() == before + 1
+        deadline = time.monotonic() + 30
+        while len(made) < 3 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        time.sleep(0.2)  # room to overrun the lead, if it could
+        assert made == ([1, 3, 5] if alternate else [0, 1, 2])
+        items.close()
+        assert threading.active_count() == before
 
     def test_usable_cpus_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(seeds.os, "sched_getaffinity", raising=False)

@@ -625,12 +625,26 @@ class TestTraining:
             ({"epochs": 1, "batch_size": True}, "batch_size must be an integer, got True"),
             ({"epochs": -1}, "epochs must be >= 0, got -1"),
             ({"epochs": 1, "batch_size": 0}, "batch_size must be >= 1, got 0"),
+            # seed 1.5 trained exactly as seed 1, and lr=True at 1.0
+            ({"epochs": 1, "seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"epochs": 1, "seed": True}, "seed must be an integer, got True"),
+            ({"epochs": 1, "lr": True}, "lr must be a finite number, got True"),
+            ({"epochs": 1, "lr": float("inf")}, "lr must be a finite number, got inf"),
+            ({"epochs": 1, "lr": float("nan")}, "lr must be a finite number, got nan"),
+            ({"epochs": 1, "lr": "0.1"}, "lr must be a finite number, got '0.1'"),
+            ({"epochs": 1, "weight_decay": False}, "weight_decay must be a finite number, got False"),
+            ({"epochs": 1, "weight_decay": float("inf")}, "weight_decay must be a finite number, got inf"),
+            ({"epochs": 1, "lr": -0.5}, "lr must be >= 0.0, got -0.5"),
         ],
     )
     def test_config_counts_must_be_integers_in_range(self, fields, message):
         with pytest.raises(ValueError) as info:
             tr.TrainConfig(**fields)
         assert str(info.value) == message
+
+    def test_config_takes_integer_rates_numpy_floats_and_negative_seeds(self):
+        config = tr.TrainConfig(epochs=1, lr=1, weight_decay=np.float64(0.5), seed=-3)
+        assert (config.lr, config.weight_decay, config.seed) == (1, 0.5, -3)
 
     @pytest.mark.parametrize("head", ["fc", "hrr"])
     def test_training_set_must_have_the_model_features(self, head):
@@ -999,6 +1013,48 @@ class TestPredictRankings:
         assert tr.predict_rankings(model, ds, space=space, k=3) == []
         fc = tr.init_model(100, (8,), 20, "fc", seed=33)
         assert tr.predict_rankings(fc, ds, k=3) == []
+
+    def test_hrr_class_producer_runs_beside_the_forward_pass_and_stops(self, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        n_labels = 3 * lb._CLASS_BLOCK
+        ds = dataio.synth_generate(300, n_labels, n_labels, 3, seed=46, noise=0.1)
+        space = lb.make_label_space(n_labels, 24, seed=46)
+        model = tr.init_model(n_labels, (8,), 24, "hrr", seed=46)
+        want = dense_rankings(model, ds, space=space, k=5)
+        before, during, forward = threading.active_count(), [], tr._forward_sparse
+
+        def counted(m, chunk):
+            during.append(threading.active_count())
+            return forward(m, chunk)
+
+        monkeypatch.setattr(tr, "_forward_sparse", counted)
+        assert tr.predict_rankings(model, ds, space=space, k=5) == want
+        assert during == [before + 1] * 2  # two 256-row chunks, the producer already running
+        assert threading.active_count() == before
+
+    def test_hrr_class_producer_stops_when_decoding_raises(self, monkeypatch):
+        monkeypatch.setattr(seeds, "_usable_cpus", lambda: 2)
+        n_labels = 3 * lb._CLASS_BLOCK
+        ds = dataio.synth_generate(40, n_labels, n_labels, 3, seed=47, noise=0.1)
+        space = lb.make_label_space(n_labels, 24, seed=47)
+        model = tr.init_model(n_labels, (8,), 24, "hrr", seed=47)
+        before = threading.active_count()
+
+        def failing_forward(m, chunk):
+            raise RuntimeError("forward failed")
+
+        def failing_screen(queries, blocks, k):
+            next(blocks)  # leaves blocks unread, the next ones made or in the making
+            raise RuntimeError("screen failed")
+
+        for name, fake, module in (("_forward_sparse", failing_forward, tr),
+                                   ("screened_topk", failing_screen, lb)):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, fake)
+                with pytest.raises(RuntimeError, match="failed") as info:
+                    tr.predict_rankings(model, ds, space=space, k=5)
+            # the traceback keeps predict_rankings' frame, and so the iterator, alive
+            assert info.tb is not None and threading.active_count() == before
 
     def test_fc_chunked_ranking_equals_one_stable_argsort_of_the_chunk_logits(self):
         # 600 rows: two full 256-row chunks and a part chunk. Columns 150-299
