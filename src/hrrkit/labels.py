@@ -35,14 +35,16 @@ starts when the iterator is made and keeps up to _CLASS_LEAD blocks
 regenerated ahead of the caller, so regeneration runs beside the caller's
 forward pass and scoring; the blocks are the same bits either way.
 
-`screened_topk` ranks the classes. What is exact is the top k of the
-per-pair float64 scores, by (score desc, index asc): float32 only drops
-classes it certifies cannot enter. A class is dropped when its float32
-score lies more than the margin eps = g(d' + 2) ||q|| max||c|| below the
-row's k-th best float64 score, with g(m) = m u / (1 - m u) and u = 2^-24
-(Higham 2002, section 3.1), plus the float64 rescoring error and an
-absolute term for float32 underflow; the survivors are rescored in
-float64. At the benchmark's Wiki10-31K shape (1,024 rows, L = 30,938,
+`screened_topk` is the one top-k routine, for both heads: the hrr head's
+class blocks, and the fc head's blocks of [W_out^T | b_out] rows against
+its [a | 1] queries (trainer.predict_rankings). What is exact is the top k
+of the per-pair float64 scores, by (score desc, index asc): float32 only
+drops classes it certifies cannot enter. A class is dropped when its
+float32 score lies more than the margin eps = g(d + 2) ||q|| max||c||
+below the row's k-th best float64 score, with g(m) = m u / (1 - m u) and
+u = 2^-24 (Higham 2002, section 3.1), plus the float64 rescoring error
+and an absolute term for float32 underflow; the survivors are rescored
+in float64. At the benchmark's Wiki10-31K shape (1,024 rows, L = 30,938,
 d' = 400, k = 5) 29.7 pairs a row are rescored, and an `xml-decode-wide`
 round took 0.521 s against 0.602 s with the dense float64 decode (medians
 of ten alternating pairs, 9 won, on a 2-vCPU Xeon with BLAS on one
@@ -72,14 +74,11 @@ __all__ = [
     "loss_with_gradient",
     "make_label_space",
     "query_loss_terms",
-    "score_blocks",
     "screened_topk",
-    "topk",
 ]
 
 _CLASS_BLOCK = 512  # classes regenerated per chunk when streaming
 _CLASS_LEAD = 4  # blocks the producer keeps made ahead of the caller
-_MERGE_CELLS = 16384  # scores per topk step (>= 32 columns); bounds its temporaries
 _RESCORE_CELLS = 1 << 16  # float64 products per rescoring gather; bounds its temporaries
 _F32_SAFE = 2.0**120  # ||q|| max||c|| below this keeps float32 scores finite
 
@@ -283,73 +282,17 @@ def loss_with_gradient(space, s_hat, labels):
     return LossBreakdown(float(j_p[0]), float(j_n[0]), degenerate=not present.size), grad[0]
 
 
-def score_blocks(space, s_hat):
-    """(start, scores) for each block of classes, in order, against B predictions.
-
-    scores holds the (B, w) float64 dot products of the role-p unbindings
-    of s_hat with the w class vectors from start; decode_threshold joins
-    them, and top-k decoding screens them instead (screened_topk).
-    """
-    queries = core.unbind(s_hat, space.p)
-    for start, rows in space.iter_class_blocks():
-        yield start, queries @ rows.T
-
-
-def topk(blocks, k):
-    """Column indices of each row's k best scores, best first.
-
-    blocks yields (start, scores) pairs in ascending start, scores an (n, w)
-    block of columns from start. Each step stably argsorts the kept winners
-    and the next few columns; the winners have lower indices, so ties break
-    toward the lower index, as in one full stable argsort. Once a row holds
-    k winners, a column can enter only with a score strictly above the
-    row's k-th best, so a step merges only the rows where one does. Blocks
-    with rows but no columns give an (n, 0) array; no block is a ValueError.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    best = index = n_rows = None
-    for start, block in blocks:
-        n_rows = len(block)
-        width = max(32, _MERGE_CELLS // (len(block) + 1))
-        for lo in range(0, block.shape[1], width):
-            scores = block[:, lo : lo + width]
-            full = best is not None and best.shape[1] == k
-            rows = slice(None)
-            if full:
-                # NaN sorts last, so a NaN k-th best admits any other score
-                kth = best[:, -1]
-                rows = np.flatnonzero((scores > kth[:, None]).any(axis=1) | np.isnan(kth))
-                if not rows.size:
-                    continue
-                scores = scores[rows]
-            cols = np.broadcast_to(np.arange(scores.shape[1]) + start + lo, scores.shape)
-            if best is not None:
-                scores = np.concatenate([best[rows], scores], axis=1)
-                cols = np.concatenate([index[rows], cols], axis=1)
-            order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
-            top = np.take_along_axis(scores, order, axis=1), np.take_along_axis(cols, order, axis=1)
-            if full:
-                best[rows], index[rows] = top
-            else:
-                best, index = top
-        # drop the block and its views before asking for the next, so two
-        # score blocks are never alive at once
-        block = scores = None
-    if n_rows is None:
-        raise ValueError("topk needs at least one block of scores")
-    return np.empty((n_rows, 0), np.int64) if index is None else index
-
-
 def screened_topk(queries, blocks, k):
     """Indices of each query's k best classes by float64 dot product, best first.
 
-    queries is an (n, d) array of role-p unbindings; blocks yields
+    queries is an (n, d) array: the hrr head's role-p unbindings, or the
+    fc head's last hidden activations with a ones column. blocks yields
     (start, vectors) class blocks in ascending start, as
-    LabelSpace.iter_class_blocks does. The result is exactly the top k of
-    the per-pair float64 scores (_pair_dots), ordered by (score desc,
-    index asc) with NaN last, as one full stable argsort of those scores
-    would give. Float32 only drops classes it certifies cannot enter.
+    LabelSpace.iter_class_blocks does (or slices of the fc head's
+    [W_out^T | b_out]). The result is exactly the top k of the per-pair
+    float64 scores (_pair_dots), ordered by (score desc, index asc) with
+    NaN last, as one full stable argsort of those scores would give.
+    Float32 only drops classes it certifies cannot enter.
 
     Each block is scored against a float32 copy of the queries. For every
     pair, |float32 score - float64 score| <= eps, with
@@ -365,9 +308,13 @@ def screened_topk(queries, blocks, k):
     below the k-th best. A row that holds fewer drops only a class whose
     float32 score is below the block's own k-th float32 score minus 2 eps,
     which k classes of the block beat in float64. A row whose norms could
-    make a float32 score overflow, or that is not finite, drops nothing.
-    The survivors are rescored and merged into the kept classes; the
-    rescored bits do not depend on which pairs were dropped.
+    make a float32 score overflow, or that is not finite, drops nothing by
+    that rule. Once a row holds k classes, it drops the whole block when
+    its query holds a NaN (every score NaN), or when its query is exactly
+    zero (every score ±0, or NaN against an infinite class) and its k-th
+    best is ±0: a tie or a NaN goes to the lower index, so no later class
+    can enter. The survivors are rescored and merged into the kept
+    classes; the rescored bits do not depend on which pairs were dropped.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -376,6 +323,7 @@ def screened_topk(queries, blocks, k):
     margin = _gamma(d + 2, 2.0**-24) + 2 * _gamma(d + 2, 2.0**-53)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows drop nothing
         q32, q_norm = queries.astype(np.float32), np.linalg.norm(queries, axis=1)
+    nan_q, zero_q = np.isnan(q_norm), ~queries.any(axis=1)  # q_norm may underflow to 0
     best, index = np.empty((n, 0)), np.empty((n, 0), np.int64)
     for start, rows in blocks:
         held, width = best.shape[1], len(rows)
@@ -390,9 +338,11 @@ def screened_topk(queries, blocks, k):
                 floor = np.partition(scores, width - k, axis=1)[:, width - k] - 2 * eps
             else:
                 floor = np.full(n, -np.inf)
-            # a NaN floor (a NaN k-th best) keeps every class, as topk admits any
+            # a NaN floor (a NaN k-th best) keeps every class: NaN sorts last
             floor[~(np.maximum(q_norm, 1.0) * np.maximum(c_max, 1.0) < _F32_SAFE)] = -np.inf
             drop = scores < floor[:, None]  # in float64: the float32 scores widen exactly
+            if held == k:
+                drop[nan_q | zero_q & (best[:, -1] == 0)] = True
         del scores  # freed before the rescoring gathers
         live = np.flatnonzero(~drop.all(axis=1))  # most rows drop the whole block
         r, c = np.nonzero(~drop[live])
@@ -452,8 +402,10 @@ def decode_threshold(space, s_hat, tau=0.5):
     """Sorted indices of all classes scoring strictly above tau.
 
     A class's score is the dot product of its vector with the role-p
-    unbinding. The classes are scored block by block (score_blocks), so
-    memory stays O(block * dim) plus the L-vector of scores.
+    unbinding. The classes are scored block by block, so memory stays
+    O(block * dim) plus the L-vector of scores.
     """
-    scores = np.concatenate([row for _, (row,) in score_blocks(space, _prediction(space, s_hat))])
+    queries = core.unbind(_prediction(space, s_hat), space.p)
+    with contextlib.closing(space.iter_class_blocks()) as blocks:
+        scores = np.concatenate([queries @ rows.T for _, rows in blocks], axis=1)[0]
     return np.nonzero(scores > tau)[0].tolist()

@@ -82,7 +82,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checks = ("epochs", 0), ("batch_size", 1), ("seed", None), ("lr", 0.0), ("weight_decay", 0.0)
+        checks = [("epochs", 0), ("batch_size", 1), ("seed", None)]
+        checks += [("lr", 0.0), ("weight_decay", 0.0), ("dropout", 0.0)]
         for name, low in checks:
             value = getattr(self, name)
             if type(low) is float:  # rates: finite numbers, no bool
@@ -93,7 +94,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if low is not None and not value >= low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
-        if not 0.0 <= self.dropout < 1.0:
+        if not self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
@@ -529,19 +530,33 @@ def train(model, dataset, config, space=None, val_dataset=None):
 def predict_rankings(model, dataset, space=None, k=5):
     """Top-k label rankings for every example, best score first.
 
-    Ties go toward the lower index, and there is no (examples x classes)
-    matrix. The fc head ranks each 256-row forward chunk's logits by
-    labels.topk before the next chunk's are made. The hrr head ranks all
-    outputs in one pass over the class blocks by labels.screened_topk; the
-    class producer starts before the forward pass, so the blocks are
-    regenerated beside it. An empty dataset is one empty chunk.
+    Both heads rank in one labels.screened_topk pass over blocks of
+    classes: the exact top k of the per-pair float64 scores, ties toward
+    the lower index, with no (examples x classes) matrix. The forward pass
+    runs in 256-row chunks into one preallocated array of queries. The fc
+    head's queries are the last hidden layer's activations with a ones
+    column, [a | 1], and its blocks are _CLASS_BLOCK-label slices of
+    [W_out^T | b_out], so the output layer is not run: [a | 1] . [w_i | b_i]
+    is label i's logit. The hrr head's queries are the role-p unbindings of
+    its outputs, and its class producer starts before the forward pass, so
+    the blocks are regenerated beside it.
     """
-    chunks = (dataset.take(slice(lo, lo + 256)) for lo in range(0, max(dataset.n_examples, 1), 256))
-    if model.head == "fc":
-        ranks = [labelcodec.topk([(0, _forward_sparse(model, chunk)[0])], k) for chunk in chunks]
-        return np.concatenate(ranks).tolist()
-    with contextlib.closing(space.iter_class_blocks()) as blocks:
-        queries = core.unbind(np.concatenate([_forward_sparse(model, chunk)[0] for chunk in chunks]), space.p)
+    fc = model.head == "fc"
+    if fc:
+        body = MlpModel(model.weights[:-1], model.biases[:-1], model.head)
+        w, b, step = model.weights[-1], model.biases[-1], labelcodec._CLASS_BLOCK
+        blocks = (
+            (start, np.column_stack([w[:, start : start + step].T, b[start : start + step]]))
+            for start in range(0, w.shape[1], step)
+        )
+    else:
+        body, blocks = model, space.iter_class_blocks()
+    outs = np.ones((dataset.n_examples, body.out_dim + fc))  # fc: the ones column stays
+    with contextlib.closing(blocks):
+        for lo in range(0, dataset.n_examples, 256):
+            out = _forward_sparse(body, dataset.take(slice(lo, lo + 256)))[0]
+            outs[lo : lo + 256, : out.shape[1]] = np.maximum(out, 0.0) if fc else out
+        queries = outs if fc else core.unbind(outs, space.p)
         return labelcodec.screened_topk(queries, blocks, k).tolist()
 
 

@@ -5,7 +5,6 @@ import os
 import sys
 import threading
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -267,12 +266,12 @@ class TestClassBlockProducer:
         # four callers, each with its own worker, on two CPUs' worth of threads
         pin_cpus(monkeypatch, 2)
         sp = lb.make_label_space(3 * lb._CLASS_BLOCK + 40, 16, seed=39)
-        s_hat = np.stack([core.sample_standard(16, seed) for seed in range(5)])
-        want = lb.topk(lb.score_blocks(sp, s_hat), 30)
+        queries = np.stack([core.sample_standard(16, seed) for seed in range(5)])
+        want = lb.screened_topk(queries, sp.iter_class_blocks(), 30)
         results = [None] * 4
 
         def decode(slot):
-            results[slot] = lb.topk(lb.score_blocks(sp, s_hat), 30)
+            results[slot] = lb.screened_topk(queries, sp.iter_class_blocks(), 30)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -490,156 +489,6 @@ class TestDecode:
         assert lb.decode_threshold(sp, s_hat, np.inf) == []
         assert lb.decode_threshold(sp, s_hat, -np.inf) == list(range(10))
 
-
-def column_blocks(scores, widths):
-    """Split a score matrix into (start, block) pairs of the given widths."""
-    start = 0
-    for width in widths:
-        yield start, scores[:, start : start + width]
-        start += width
-
-
-def stable_topk(scores, k):
-    """The full stable argsort of descending scores that labels.topk streams."""
-    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
-
-
-def class_scores(space, s_hat):
-    """Every class's score for one prediction, joined from score_blocks."""
-    return np.concatenate([row for _, (row,) in lb.score_blocks(space, s_hat[None])])
-
-
-class TestTopk:
-    @pytest.mark.parametrize("tied", [False, True])
-    @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
-    @pytest.mark.parametrize("n", [1, 7, 300, 1100])
-    def test_matches_full_stable_argsort(self, tied, k, n):
-        # small n merges a block in one step; n=300 and n=1100 split each
-        # 100-column block into several steps of fewer columns than k=101
-        rng = np.random.default_rng(k + 1000 * tied + 7 * n)
-        for trial in range(3):
-            n_cols = 350
-            if tied:  # few distinct integer values: many exact ties
-                scores = rng.integers(-3, 4, size=(n, n_cols)).astype(np.float64)
-            else:
-                scores = rng.standard_normal((n, n_cols))
-            # blocks of 100 columns with an uneven last block of 50
-            got = lb.topk(column_blocks(scores, [100, 100, 100, 50]), k)
-            np.testing.assert_array_equal(got, stable_topk(scores, k))
-            assert got.shape == (n, min(k, n_cols))
-
-    @staticmethod
-    def special_rows(n_cols=350):
-        """Rows with NaN, infinities, signed zeros and monotone runs."""
-        rng = np.random.default_rng(11)
-        normal = rng.standard_normal(n_cols)
-        return np.stack([
-            np.full(n_cols, np.nan),  # all NaN
-            np.r_[np.full(150, np.nan), normal[150:]],  # starts with NaN
-            np.r_[np.full(200, np.nan), np.full(n_cols - 200, -np.inf)],  # NaN, then -inf
-            np.r_[1.0, np.full(120, np.nan), 2.0, np.full(n_cols - 122, np.nan)],  # two finite
-            np.r_[normal[:3], np.full(n_cols - 3, -np.inf)],  # -inf tail
-            np.full(n_cols, -np.inf),
-            np.where(rng.random(n_cols) < 0.4, np.nan, normal),  # scattered NaN
-            np.where(rng.random(n_cols) < 0.1, np.inf, np.where(normal < -1, np.nan, normal)),
-            np.arange(n_cols, dtype=np.float64),  # strictly increasing: every column enters
-            -np.arange(n_cols, dtype=np.float64),
-            rng.choice([0.0, -0.0, 1.0], n_cols),  # signed zeros tie
-        ])
-
-    @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
-    @pytest.mark.parametrize(
-        "widths", [[100, 100, 100, 50], [1, 2, 64, 33, 7, 96, 147]], ids=["even", "uneven"]
-    )
-    def test_nan_infinities_and_increasing_rows_match_full_argsort(self, k, widths):
-        rows = self.special_rows()
-        # the rows together, each as a single row (the decode_topk shape), and
-        # tiled to 1100 rows, where each block takes several steps
-        for scores in [rows, *rows[:, None], np.tile(rows, (100, 1))]:
-            got = lb.topk(column_blocks(scores, widths), k)
-            np.testing.assert_array_equal(got, stable_topk(scores, k))
-
-    def test_increasing_rows_over_many_blocks(self):
-        scores = np.tile(np.arange(5000, dtype=np.float64), (3, 1))
-        scores[1] = np.sqrt(scores[1])
-        for k in (1, 5, 513):
-            got = lb.topk(column_blocks(scores, [512] * 9 + [392]), k)
-            np.testing.assert_array_equal(got, stable_topk(scores, k))
-
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_columns_that_cannot_enter_are_never_merged(self, tied, monkeypatch):
-        # a tie with the k-th best, or anything below it, leaves a full row
-        # as it is: only the first step, which fills the rows, sorts
-        n, n_cols, k = 40, 3000, 5
-        row = np.zeros(n_cols) if tied else -np.arange(n_cols, dtype=np.float64)
-        scores = np.tile(row, (n, 1))
-        want = stable_topk(scores, k)
-        sorted_rows = []
-        argsort = np.argsort
-        monkeypatch.setattr(
-            np, "argsort", lambda a, **kw: sorted_rows.append(len(a)) or argsort(a, **kw)
-        )
-        got = lb.topk(column_blocks(scores, [512] * 5 + [440]), k)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(got, want)
-        assert sorted_rows == [n]
-
-    @pytest.mark.parametrize("tied", [True, False])
-    def test_each_block_is_released_before_the_next_is_made(self, tied):
-        # a step that merges nothing must not keep a view of its block alive
-        rng = np.random.default_rng(12)
-        scores = np.zeros((300, 2000)) if tied else rng.standard_normal((300, 2000))
-        alive = []
-
-        def fresh_blocks():
-            for start in range(0, 2000, 500):
-                block = scores[:, start : start + 500].copy()
-                ref = weakref.ref(block)
-                yield start, block
-                del block
-                alive.append(ref() is not None)
-
-        np.testing.assert_array_equal(lb.topk(fresh_blocks(), 5), stable_topk(scores, 5))
-        assert alive == [False] * 4
-
-    def test_empty_blocks_are_skipped(self):
-        scores = np.random.default_rng(13).standard_normal((6, 45))
-        for k in (1, 5, 50):
-            got = lb.topk(column_blocks(scores, [0, 5, 0, 40, 0]), k)
-            np.testing.assert_array_equal(got, stable_topk(scores, k))
-
-    def test_blocks_without_columns_give_no_columns(self):
-        for widths in ([0], [0, 0]):
-            got = lb.topk(column_blocks(np.zeros((3, 0)), widths), 2)
-            np.testing.assert_array_equal(got, stable_topk(np.zeros((3, 0)), 2))
-            assert (got.shape, got.dtype) == ((3, 0), np.int64)
-
-    def test_no_block_raises(self):
-        with pytest.raises(ValueError, match="at least one block"):
-            lb.topk(iter([]), 5)
-
-    def test_uneven_and_narrow_blocks(self):
-        rng = np.random.default_rng(3)
-        scores = rng.integers(0, 2, size=(17, 203)).astype(np.float64)
-        widths = [1, 2, 64, 33, 7, 96]
-        for k in (1, 3, 40, 203, 500):
-            got = lb.topk(column_blocks(scores, widths), k)
-            np.testing.assert_array_equal(got, stable_topk(scores, k))
-
-    def test_ties_break_toward_lower_index(self):
-        scores = np.zeros((2, 90))
-        scores[1, [80, 5, 40]] = 1.0
-        got = lb.topk(column_blocks(scores, [30, 30, 30]), 4)
-        assert got.tolist() == [[0, 1, 2, 3], [5, 40, 80, 0]]
-
-    def test_zero_rows(self):
-        got = lb.topk(column_blocks(np.zeros((0, 70)), [50, 20]), 5)
-        assert got.shape == (0, 5)
-
-    def test_k_below_one_raises(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            lb.topk([(0, np.zeros((2, 3)))], 0)
-
     def test_class_scores_span_blocks(self):
         sp = lb.make_label_space(1100, 16, seed=23)
         s_hat = core.sample_standard(16, 8)
@@ -649,15 +498,6 @@ class TestTopk:
         tau = np.sort(want)[[999, 1000]].mean()  # the 100 best classes, across blocks
         assert lb.decode_threshold(sp, s_hat, tau) == np.flatnonzero(want > tau).tolist()
 
-    def test_score_blocks_of_a_batch_match_class_scores_row_by_row(self):
-        sp = lb.make_label_space(1100, 16, seed=25)
-        s_hat = np.stack([core.sample_standard(16, seed) for seed in range(3)])
-        blocks = list(lb.score_blocks(sp, s_hat))
-        assert [start for start, _ in blocks] == [0, 512, 1024]
-        scores = np.concatenate([block for _, block in blocks], axis=1)
-        want = np.stack([class_scores(sp, row) for row in s_hat])
-        np.testing.assert_allclose(scores, want, rtol=1e-12, atol=1e-14)
-
     def test_decode_topk_matches_full_argsort_of_class_scores(self):
         sp = lb.make_label_space(1100, 16, seed=24)
         s_hat = core.sample_standard(16, 9)
@@ -666,6 +506,26 @@ class TestTopk:
             got = lb.decode_topk(sp, s_hat, k)
             assert got == np.argsort(-scores, kind="stable")[:k].tolist()
             assert all(type(i) is int for i in got)
+
+
+def stable_topk(scores, k):
+    """One full stable argsort of descending scores, the order screened_topk keeps."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
+
+
+def identity_blocks(n_cols, widths):
+    """(start, rows) blocks of the unit rows e_start ... e_(start + width - 1),
+    so that a query q scores q_j against class j exactly."""
+    start = 0
+    for width in widths:
+        yield start, np.eye(width, n_cols, start)
+        start += width
+
+
+def class_scores(space, s_hat):
+    """Every class's score for one prediction, joined block by block."""
+    query = core.unbind(s_hat, space.p)
+    return np.concatenate([rows @ query for _, rows in space.iter_class_blocks()])
 
 
 def dense_class_topk(space, queries, k):
@@ -793,6 +653,85 @@ class TestScreenedTopk:
         for j in (0, 123, 499):
             one = lb._pair_dots(queries, r[j : j + 1], rows, c[j : j + 1])
             assert one.view(np.int64)[0] == dots.view(np.int64)[j]
+
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_identity_blocks_rank_as_one_stable_argsort(self, tied, k, n):
+        # blocks of 100 classes and an uneven last one of 50; integer
+        # scores tie exactly, also at a row's k-th place, and k=401 is
+        # above L
+        rng = np.random.default_rng(k + 1000 * tied + 7 * n)
+        if tied:
+            scores = rng.integers(-3, 4, size=(n, 350)).astype(np.float64)
+        else:
+            scores = rng.standard_normal((n, 350))
+        got = lb.screened_topk(scores, identity_blocks(350, [100, 100, 100, 50]), k)
+        np.testing.assert_array_equal(got, stable_topk(scores, k))
+        assert got.shape == (n, min(k, 350))
+
+    def test_increasing_rows_over_many_blocks(self):
+        # every class of an increasing row enters the ranking
+        scores = np.tile(np.arange(5000, dtype=np.float64), (3, 1))
+        scores[1] = np.sqrt(scores[1])
+        scores[2] = -scores[2]
+        for k in (1, 5, 513):
+            got = lb.screened_topk(scores, identity_blocks(5000, [512] * 9 + [392]), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
+
+    def test_uneven_narrow_and_zero_width_blocks(self):
+        scores = np.random.default_rng(3).integers(0, 2, size=(17, 203)).astype(np.float64)
+        for widths in ([1, 2, 64, 33, 7, 96], [0, 5, 0, 40, 0, 158, 0]):
+            for k in (1, 3, 40, 203, 500):
+                got = lb.screened_topk(scores, identity_blocks(203, widths), k)
+                np.testing.assert_array_equal(got, stable_topk(scores, k))
+
+    def test_blocks_without_classes_give_no_columns(self):
+        for widths in ([], [0], [0, 0]):
+            got = lb.screened_topk(np.ones((3, 4)), identity_blocks(4, widths), 2)
+            assert (got.shape, got.dtype) == ((3, 0), np.int64)
+
+    def test_ties_break_toward_lower_index(self):
+        scores = np.zeros((3, 90))
+        scores[1, [80, 5, 40]] = 1.0
+        scores[2] = np.random.default_rng(11).choice([0.0, -0.0, 1.0], 90)  # signed zeros tie
+        got = lb.screened_topk(scores, identity_blocks(90, [30, 30, 30]), 4)
+        assert got[:2].tolist() == [[0, 1, 2, 3], [5, 40, 80, 0]]
+        np.testing.assert_array_equal(got, stable_topk(scores, 4))
+
+    def test_zero_and_nan_rows_rescore_at_most_one_block(self, monkeypatch):
+        # once such a row holds k classes, every later score is ±0 (a tie)
+        # or NaN like its k-th best, so no later class can enter
+        sp = lb.make_label_space(3 * lb._CLASS_BLOCK + 100, 32, seed=50)
+        rng = np.random.default_rng(50)
+        queries = np.vstack([
+            np.zeros(32),
+            np.full(32, -0.0),
+            np.r_[rng.standard_normal(31), np.nan],
+            np.full(32, np.nan),
+            rng.standard_normal((2, 32)),
+        ])
+        pairs, pair_dots = [], lb._pair_dots
+
+        def counted(queries, r, rows, c):
+            pairs.append(np.bincount(r, minlength=len(queries)))
+            return pair_dots(queries, r, rows, c)
+
+        monkeypatch.setattr(lb, "_pair_dots", counted)
+        for k in (1, 5):
+            pairs.clear()
+            got = lb.screened_topk(queries, sp.iter_class_blocks(), k)
+            np.testing.assert_array_equal(got, dense_class_topk(sp, queries, k))
+            assert got[:4].tolist() == [list(range(k))] * 4
+            assert (np.sum(pairs, axis=0)[:4] <= lb._CLASS_BLOCK).all()
+        # a zero query scores NaN against an infinite class: a NaN k-th best
+        # admits a later ±0, and a ±0 k-th best keeps out a later NaN
+        rows = np.eye(4)
+        rows[[0, 3], [0, 3]] = np.inf
+        blocks = [(0, rows[:2]), (2, rows[2:])]
+        with np.errstate(invalid="ignore"):  # the rescoring meets 0 * inf
+            assert lb.screened_topk(np.zeros((1, 4)), iter(blocks), 2).tolist() == [[1, 2]]
+            assert lb.screened_topk(np.zeros((1, 4)), iter(blocks), 1).tolist() == [[1]]
 
     def test_no_queries_give_no_rows(self):
         sp = lb.make_label_space(lb._CLASS_BLOCK + 10, 16, seed=44)

@@ -635,6 +635,11 @@ class TestTraining:
             ({"epochs": 1, "weight_decay": False}, "weight_decay must be a finite number, got False"),
             ({"epochs": 1, "weight_decay": float("inf")}, "weight_decay must be a finite number, got inf"),
             ({"epochs": 1, "lr": -0.5}, "lr must be >= 0.0, got -0.5"),
+            # dropout=False trained as 0.0
+            ({"epochs": 1, "dropout": False}, "dropout must be a finite number, got False"),
+            ({"epochs": 1, "dropout": True}, "dropout must be a finite number, got True"),
+            ({"epochs": 1, "dropout": "0.1"}, "dropout must be a finite number, got '0.1'"),
+            ({"epochs": 1, "dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
         ],
     )
     def test_config_counts_must_be_integers_in_range(self, fields, message):
@@ -939,8 +944,8 @@ class TestTwoCoreStep:
 
 
 def dense_rankings(model, dataset, space=None, k=5):
-    """The dense (n x L) score matrix and full stable argsort that
-    predict_rankings used before it streamed through labels.topk."""
+    """The dense (n x L) float64 score matrix and one full stable argsort
+    of it, the ranking predict_rankings keeps without making the matrix."""
     outs = []
     batchsize = 256
     for lo in range(0, dataset.n_examples, batchsize):
@@ -1091,17 +1096,20 @@ class TestPredictRankings:
         top = got[0][:2]
         assert top[1] == top[0] + 150  # a tie ranks the lower index first
 
-    def test_fc_peak_memory_is_one_chunk_of_logits(self):
-        n, n_labels, k = 1024, 30_938, 5
+    def test_fc_peak_memory_is_the_queries_and_one_class_block(self):
+        n, n_labels, k, hidden = 1024, 30_938, 5, 64
         ds = dataio.synth_generate(n, n_labels, n_labels, 1, seed=40)
-        model = tr.init_model(n_labels, (64,), n_labels, "fc", seed=40)
-        # Stated before measuring: one 256-row chunk's logits and the
-        # temporary of its bias add (2 * 256 * L * 8 bytes), the n x k
-        # rankings as Python lists (under 256 bytes a row), and 16 MiB for
-        # the chunk's inputs and topk's merge buffers. Keeping every
-        # chunk's logits and joining them took 2 * n * L * 8 bytes.
-        bound = 2 * 256 * n_labels * 8 + n * 256 + 16 * 2**20
-        assert bound < 0.6 * n * n_labels * 8  # well below one n x L matrix
+        model = tr.init_model(n_labels, (hidden,), n_labels, "fc", seed=40)
+        # Stated before measuring: the n x (h + 1) queries [a | 1], their
+        # float32 copy and the squares their norms are summed from (under
+        # 3 * n * (h + 1) * 8 bytes), one block's n x 512 float32 scores and
+        # drop mask (under 2 * n * 512 * 8), the n x k rankings as Python
+        # lists (under 256 bytes a row), and 4 MiB for a chunk's inputs, one
+        # block of [W_out^T | b_out] and the rescoring gathers. Ranking each
+        # 256-row chunk's logits took 2 * 256 * L * 8 bytes, and joining
+        # every chunk's 2 * n * L * 8.
+        bound = 3 * n * (hidden + 1) * 8 + 2 * n * lb._CLASS_BLOCK * 8 + n * 256 + 4 * 2**20
+        assert bound < 256 * n_labels * 8 / 4  # well below one chunk of logits
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
