@@ -513,13 +513,37 @@ def stable_topk(scores, k):
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
+def class_blocks(classes, widths):
+    """Split the class vectors into (start, rows) blocks of the given widths."""
+    start = 0
+    for width in widths:
+        yield start, classes[start : start + width]
+        start += width
+
+
 def identity_blocks(n_cols, widths):
     """(start, rows) blocks of the unit rows e_start ... e_(start + width - 1),
     so that a query q scores q_j against class j exactly."""
-    start = 0
-    for width in widths:
-        yield start, np.eye(width, n_cols, start)
-        start += width
+    return class_blocks(np.eye(n_cols), widths)
+
+
+def special_scores(n_cols=350):
+    """Score rows with NaN, infinities, signed zeros and monotone runs."""
+    rng = np.random.default_rng(11)
+    normal = rng.standard_normal(n_cols)
+    return np.stack([
+        np.full(n_cols, np.nan),  # all NaN
+        np.r_[np.full(150, np.nan), normal[150:]],  # starts with NaN
+        np.r_[np.full(200, np.nan), np.full(n_cols - 200, -np.inf)],  # NaN, then -inf
+        np.r_[1.0, np.full(120, np.nan), 2.0, np.full(n_cols - 122, np.nan)],  # two finite
+        np.r_[normal[:3], np.full(n_cols - 3, -np.inf)],  # -inf tail
+        np.full(n_cols, -np.inf),
+        np.where(rng.random(n_cols) < 0.4, np.nan, normal),  # scattered NaN
+        np.where(rng.random(n_cols) < 0.1, np.inf, np.where(normal < -1, np.nan, normal)),
+        np.arange(n_cols, dtype=np.float64),  # strictly increasing: every class enters
+        -np.arange(n_cols, dtype=np.float64),
+        rng.choice([0.0, -0.0, 1.0], n_cols),  # signed zeros tie
+    ])
 
 
 def class_scores(space, s_hat):
@@ -656,11 +680,11 @@ class TestScreenedTopk:
 
     @pytest.mark.parametrize("tied", [False, True])
     @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
-    @pytest.mark.parametrize("n", [1, 300])
+    @pytest.mark.parametrize("n", [1, 7, 300, 1100])
     def test_identity_blocks_rank_as_one_stable_argsort(self, tied, k, n):
         # blocks of 100 classes and an uneven last one of 50; integer
         # scores tie exactly, also at a row's k-th place, and k=401 is
-        # above L
+        # above L; n=1 is decode_topk's shape
         rng = np.random.default_rng(k + 1000 * tied + 7 * n)
         if tied:
             scores = rng.integers(-3, 4, size=(n, 350)).astype(np.float64)
@@ -679,12 +703,52 @@ class TestScreenedTopk:
             got = lb.screened_topk(scores, identity_blocks(5000, [512] * 9 + [392]), k)
             np.testing.assert_array_equal(got, stable_topk(scores, k))
 
-    def test_uneven_narrow_and_zero_width_blocks(self):
+    @pytest.mark.parametrize("k", [1, 5, 17, 101, 401])
+    @pytest.mark.parametrize(
+        "widths", [[100, 100, 100, 50], [1, 2, 64, 33, 7, 96, 147]], ids=["even", "uneven"]
+    )
+    def test_nan_infinities_and_increasing_rows_rank_as_one_stable_argsort(self, k, widths):
+        # one-dimensional queries and classes, so that q * c is the score
+        # exactly and NaN, infinities and signed zeros reach the screen as
+        # they are; the scales flip, zero, overflow and underflow a row
+        scales = np.array([1.0, 2.0, -1.0, 0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 1e-300])
+        queries = np.tile(scales, 110)[:, None]  # 1,100 rows
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            for row in special_scores():
+                got = lb.screened_topk(queries, class_blocks(row[:, None], widths), k)
+                np.testing.assert_array_equal(got, stable_topk(queries * row, k))
+                one = lb.screened_topk(queries[:1], class_blocks(row[:, None], widths), k)
+                np.testing.assert_array_equal(one, stable_topk(row[None], k))
+
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_classes_that_cannot_enter_are_never_rescored(self, tied, monkeypatch):
+        # a zero row ties with its k-th best and a decreasing row falls
+        # below it by more than eps, so once the first block fills the
+        # rows no later pair is rescored
+        n, n_cols, k = 40, 3000, 5
+        row = np.zeros(n_cols) if tied else -np.arange(n_cols, dtype=np.float64)
+        scores = np.tile(row, (n, 1))
+        rescored, pair_dots = [], lb._pair_dots
+        monkeypatch.setattr(
+            lb, "_pair_dots", lambda q, r, rows, c: rescored.append(rows) or pair_dots(q, r, rows, c)
+        )
+        blocks = list(identity_blocks(n_cols, [512] * 5 + [440]))
+        got = lb.screened_topk(scores, iter(blocks), k)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(got, stable_topk(scores, k))
+        assert len(rescored) == 1 and rescored[0] is blocks[0][1]
+
+    def test_uneven_and_narrow_blocks(self):
         scores = np.random.default_rng(3).integers(0, 2, size=(17, 203)).astype(np.float64)
-        for widths in ([1, 2, 64, 33, 7, 96], [0, 5, 0, 40, 0, 158, 0]):
-            for k in (1, 3, 40, 203, 500):
-                got = lb.screened_topk(scores, identity_blocks(203, widths), k)
-                np.testing.assert_array_equal(got, stable_topk(scores, k))
+        for k in (1, 3, 40, 203, 500):
+            got = lb.screened_topk(scores, identity_blocks(203, [1, 2, 64, 33, 7, 96]), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
+
+    def test_empty_blocks_are_skipped(self):
+        scores = np.random.default_rng(13).standard_normal((6, 45))
+        for k in (1, 5, 50):
+            got = lb.screened_topk(scores, identity_blocks(45, [0, 5, 0, 40, 0]), k)
+            np.testing.assert_array_equal(got, stable_topk(scores, k))
 
     def test_blocks_without_classes_give_no_columns(self):
         for widths in ([], [0], [0, 0]):

@@ -1011,6 +1011,19 @@ class TestPredictRankings:
         assert got == dense_rankings(model, ds, space=space, k=k)
         assert_int_rankings(got, 300, k)
 
+    @pytest.mark.parametrize("head", ["fc", "hrr"])
+    def test_trained_heads_match_dense_argsort(self, head):
+        # trained output layers (the fc biases no longer zero), two class
+        # blocks, and k deep into the ranking
+        n_labels = lb._CLASS_BLOCK + 300
+        ds = dataio.synth_generate(600, n_labels, n_labels, 3, seed=48, noise=0.1)
+        space = lb.make_label_space(n_labels, 48, seed=48) if head == "hrr" else None
+        model = tr.init_model(n_labels, (32,), 48 if head == "hrr" else n_labels, head, seed=48)
+        model, _ = tr.train(model, ds, tr.TrainConfig(epochs=3, seed=48), space=space)
+        for k in (1, 5, 600):
+            got = tr.predict_rankings(model, ds, space=space, k=k)
+            assert got == dense_rankings(model, ds, space=space, k=k)
+
     def test_empty_dataset(self):
         ds = dataio.SparseDataset(100, 20, [0], [], [], [0], [])
         model = tr.init_model(100, (8,), 32, "hrr", seed=33)
